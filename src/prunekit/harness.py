@@ -259,8 +259,8 @@ def prune(ckpt: model_io.Checkpoint, probe_data: model_io.DatasetHandle,
           test_data: model_io.DatasetHandle | None, cfg: pruner.PruneConfig):
     """Prune a checkpoint and account for it; returns (pruned, report, traces)."""
     timings: dict[str, float] = {}
-    t0 = time.perf_counter()
     acc_base = evaluate(ckpt, test_data) if test_data is not None else None
+    t0 = time.perf_counter()
     pruned, traces = pruner.prune_model(ckpt, probe_data, cfg)
     timings["prune_s"] = time.perf_counter() - t0
     t1 = time.perf_counter()

@@ -26,6 +26,8 @@ from . import nn
 MAGIC = b"CPLI1"
 FORMAT_VERSION = 1
 CIFAR_RECORD_BYTES = 3073
+# Images per vectorised block in `synth_dataset`, bounding its temporaries.
+_SYNTH_CHUNK = 1024
 
 
 class FormatError(ValueError):
@@ -52,20 +54,26 @@ class Checkpoint:
         if len(self.params) != len(self.spec.layers):
             raise ValueError(f"params length {len(self.params)} does not match "
                              f"{len(self.spec.layers)} layers")
-        dims = self.spec.input_dims
         for i, (layer, p) in enumerate(zip(self.spec.layers, self.params)):
-            if layer.kind == nn.CONV2D:
-                kh, kw = layer.kernel
-                want = (layer.out_channels, layer.in_channels, kh, kw)
-                if p.weights.shape != want:
-                    raise ValueError(f"layer {i}: weights {p.weights.shape} != {want}")
-            elif layer.kind == nn.LINEAR:
-                want = (layer.out_features, layer.in_features)
-                if p.weights.shape != want:
-                    raise ValueError(f"layer {i}: weights {p.weights.shape} != {want}")
+            want = _param_shapes(layer)
+            if want is None:
+                continue
+            for name, arr, shape in zip(("weights", "bias"), (p.weights, p.bias), want):
+                if arr.shape != shape:
+                    raise ValueError(f"layer {i}: {name} {arr.shape} != {shape}")
 
     def copy(self) -> "Checkpoint":
         return Checkpoint(self.spec, nn.copy_params(self.params), dict(self.metadata))
+
+
+def _param_shapes(layer: nn.LayerSpec):
+    """(weights shape, bias shape) for a parameterised layer, else None."""
+    if layer.kind == nn.CONV2D:
+        kh, kw = layer.kernel
+        return (layer.out_channels, layer.in_channels, kh, kw), (layer.out_channels,)
+    if layer.kind == nn.LINEAR:
+        return (layer.out_features, layer.in_features), (layer.out_features,)
+    return None
 
 
 def _layer_to_dict(layer: nn.LayerSpec) -> dict:
@@ -148,9 +156,11 @@ def load_checkpoint(path) -> Checkpoint:
         raise FormatError(f"{path}: unsupported version {header.get('version')} "
                           f"(expected {FORMAT_VERSION})")
     spec = spec_from_dict(header["spec"])
-    params: list = [None] * len(spec.layers)
-    staged: dict[int, dict[str, np.ndarray]] = {}
+    staged: dict[tuple[int, str], np.ndarray] = {}
     for entry in header["tensors"]:
+        key = (entry["layer"], entry["name"])
+        if key in staged:
+            raise FormatError(f"{path}: layer {key[0]} {key[1]} stored twice")
         shape = tuple(entry["shape"])
         nbytes = int(np.prod(shape, dtype=np.int64)) * 8
         if len(data) < off + 4 + nbytes:
@@ -160,11 +170,28 @@ def load_checkpoint(path) -> Checkpoint:
         if (zlib.crc32(payload) & 0xFFFFFFFF) != stored_crc:
             raise ChecksumError(f"{path}: checksum mismatch for layer "
                                 f"{entry['layer']} {entry['name']}")
-        arr = np.frombuffer(payload, dtype="<f8").reshape(shape).copy()
-        staged.setdefault(entry["layer"], {})[entry["name"]] = arr
+        staged[key] = np.frombuffer(payload, dtype="<f8").reshape(shape).copy()
         off += 4 + nbytes
-    for i, parts in staged.items():
-        params[i] = nn.LayerParams(parts["weights"], parts["bias"])
+    if off != len(data):
+        raise FormatError(f"{path}: {len(data) - off} trailing bytes after the last "
+                          f"tensor at byte {off}")
+    params: list = [None] * len(spec.layers)
+    for i, layer in enumerate(spec.layers):
+        want = _param_shapes(layer)
+        if want is None:
+            continue
+        parts = []
+        for name, shape in zip(("weights", "bias"), want):
+            arr = staged.pop((i, name), None)
+            if arr is None:
+                raise FormatError(f"{path}: layer {i} ({layer.kind}) has no {name} tensor")
+            if arr.shape != shape:
+                raise FormatError(f"{path}: layer {i}: {name} {arr.shape} != {shape}")
+            parts.append(arr)
+        params[i] = nn.LayerParams(*parts)
+    if staged:
+        i, name = next(iter(staged))
+        raise FormatError(f"{path}: unexpected tensor {name!r} for layer {i}")
     return Checkpoint(spec, params, header["metadata"])
 
 
@@ -276,17 +303,20 @@ def synth_dataset(seed: int, count: int, classes: int, dims=(1, 16, 16),
     angles = 2.0 * np.pi * np.arange(classes) / classes
     aspects = 0.5 + 1.2 * (np.arange(classes) % 3) / 2.0  # 0.5, 1.1, 1.7
     tilts = np.pi * np.arange(classes) / max(classes, 1)
-    for i in range(count):
-        k = labels[i]
-        cy = h / 2.0 + radius * np.sin(angles[k]) + rng.uniform(-jitter, jitter)
-        cx = w / 2.0 + radius * np.cos(angles[k]) + rng.uniform(-jitter, jitter)
-        tilt = tilts[k] + rng.uniform(-0.25, 0.25)
-        ct, st = np.cos(tilt), np.sin(tilt)
+    bound = np.array([jitter, jitter, 0.25])
+    draws = rng.uniform(-bound, bound, size=(count, 3))
+    for start in range(0, count, _SYNTH_CHUNK):
+        ids = np.arange(start, min(start + _SYNTH_CHUNK, count))
+        k = labels[ids]
+        cy = (h / 2.0 + radius * np.sin(angles[k]) + draws[ids, 0])[:, None, None]
+        cx = (w / 2.0 + radius * np.cos(angles[k]) + draws[ids, 1])[:, None, None]
+        tilt = tilts[k] + draws[ids, 2]
+        ct, st = np.cos(tilt)[:, None, None], np.sin(tilt)[:, None, None]
         u = (yy - cy) * ct + (xx - cx) * st
         v = -(yy - cy) * st + (xx - cx) * ct
-        su, sv = sigma * aspects[k], sigma / aspects[k]
-        blob = amplitude * np.exp(-0.5 * ((u / su) ** 2 + (v / sv) ** 2))
-        images[i, k % c] += blob
+        su = (sigma * aspects[k])[:, None, None]
+        sv = (sigma / aspects[k])[:, None, None]
+        images[ids, k % c] += amplitude * np.exp(-0.5 * ((u / su) ** 2 + (v / sv) ** 2))
     np.clip(images, 0.0, 1.0, out=images)
     return DatasetHandle(images, labels, classes, split)
 

@@ -316,9 +316,20 @@ def _pool_windows(x: np.ndarray, wh: int, ww: int, stride: int):
 
 
 def maxpool2d_forward(x: np.ndarray, window=(2, 2), stride: int = 2) -> np.ndarray:
+    """Window maxima, as an elementwise maximum over one strided view per offset."""
     wh, ww = _pair(window)
-    win = _pool_windows(x, wh, ww, stride)
-    return win.max(axis=(4, 5))
+    ho = (x.shape[2] - wh) // stride + 1
+    wo = (x.shape[3] - ww) // stride + 1
+    if ho < 1 or wo < 1:
+        raise ShapeError(f"pool window {wh}x{ww} larger than input "
+                         f"{x.shape[2]}x{x.shape[3]}")
+    out = None
+    for u in range(wh):
+        for v in range(ww):
+            view = x[:, :, u:u + stride * (ho - 1) + 1:stride,
+                     v:v + stride * (wo - 1) + 1:stride]
+            out = np.array(view) if out is None else np.maximum(out, view, out=out)
+    return out
 
 
 def maxpool2d_backward(x: np.ndarray, window, stride: int,
@@ -387,12 +398,13 @@ class Gradients:
 
     weights[i] pairs with layers[i] (None for parameterless layers);
     activations[i] is dC/d(outputs[i]) and is None for the head slot, whose
-    input gradient lives at the preceding layer.  `wrt_input` is dC/d(x).
+    input gradient lives at the preceding layer.  `wrt_input` is dC/d(x), or
+    None when the pass stopped above the input.
     """
 
     weights: list[LayerParams | None]
     activations: list[np.ndarray | None]
-    wrt_input: np.ndarray
+    wrt_input: np.ndarray | None
     loss: float
 
 
@@ -443,8 +455,15 @@ def forward_collect(spec: NetworkSpec, params: list[LayerParams | None], x,
 
 def backward_collect(spec: NetworkSpec, params: list[LayerParams | None],
                      trace: ForwardTrace, labels,
-                     masks: dict[int, np.ndarray] | None = None) -> Gradients:
-    """Backpropagate mean cross-entropy against `labels` through a forward trace."""
+                     masks: dict[int, np.ndarray] | None = None,
+                     stop: int = 0) -> Gradients:
+    """Backpropagate mean cross-entropy against `labels` through a forward trace.
+
+    `stop` is the lowest layer index the pass visits: layers below it get
+    no weight gradient, activations[i] is filled for i >= stop - 1 only, and
+    `wrt_input` is None unless stop == 0.  Everything that is filled is
+    bit-identical to the full pass.
+    """
     labels = np.atleast_1d(np.asarray(labels, dtype=np.int64))
     n = trace.x.shape[0]
     if labels.shape != (n,):
@@ -452,6 +471,9 @@ def backward_collect(spec: NetworkSpec, params: list[LayerParams | None],
     if labels.min() < 0 or labels.max() >= spec.num_classes:
         bad = labels[(labels < 0) | (labels >= spec.num_classes)][0]
         raise ValueError(f"label {bad} out of range for {spec.num_classes} classes")
+    num_layers = len(spec.layers)
+    if not 0 <= stop < num_layers:
+        raise ValueError(f"stop must be in [0, {num_layers}), got {stop}")
 
     loss = cross_entropy(trace.logits, labels)
     probs = trace.outputs[-1]
@@ -459,13 +481,12 @@ def backward_collect(spec: NetworkSpec, params: list[LayerParams | None],
     onehot[np.arange(n), labels] = 1.0
     grad = (probs - onehot) / n
 
-    num_layers = len(spec.layers)
     weight_grads: list[LayerParams | None] = [None] * num_layers
     act_grads: list[np.ndarray | None] = [None] * num_layers
     if num_layers >= 2:
         act_grads[num_layers - 2] = grad
 
-    for i in range(num_layers - 2, -1, -1):
+    for i in range(num_layers - 2, stop - 1, -1):
         layer = spec.layers[i]
         x_in = trace.outputs[i - 1] if i > 0 else trace.x
         if layer.kind == CONV2D:
@@ -491,7 +512,7 @@ def backward_collect(spec: NetworkSpec, params: list[LayerParams | None],
             act_grads[i - 1] = grad
 
     return Gradients(weights=weight_grads, activations=act_grads,
-                     wrt_input=grad, loss=loss)
+                     wrt_input=grad if stop == 0 else None, loss=loss)
 
 
 # ---------------------------------------------------------------------------

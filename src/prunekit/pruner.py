@@ -123,7 +123,8 @@ def extract_probes(uncompressed: model_io.Checkpoint, compressed: model_io.Check
     the `exhaustive` flag set).  y0 comes from the uncompressed model;
     ystar, the loss gradient, the input patches and the contributions z come
     from one forward+backward pass of the current compressed model per image,
-    with z evaluated against the uncompressed layer weights.
+    with z evaluated against the uncompressed layer weights.  The backward
+    pass stops at the probed layer's output, the only gradient needed.
     """
     layer = compressed.spec.layers[layer_index]
     if layer.kind != nn.CONV2D:
@@ -165,7 +166,7 @@ def extract_probes(uncompressed: model_io.Checkpoint, compressed: model_io.Check
             row = start + k
             single = _slice_trace(trace_c, k)
             grads = nn.backward_collect(compressed.spec, compressed.params, single,
-                                        labels[k:k + 1])
+                                        labels[k:k + 1], stop=layer_index + 1)
             loc = flat_locs[row]
             rr, cc = loc // wo, loc % wo
             sl = slice(row * n_loc, (row + 1) * n_loc)
@@ -425,6 +426,9 @@ def prune_model(uncompressed: model_io.Checkpoint, dataset: model_io.DatasetHand
                 lam, warn = None, False
             else:
                 system = build_weighted_system(probe, config.variant, config.gamma)
+                if not system.col_sq_norms.any():
+                    raise ValueError(f"conv {ordinal} (layer {li}): every weighted "
+                                     "column is zero, so there is no channel to select")
                 sel = select_channels(system, budget, config)
                 support, lam, warn = sel.support, sel.lambda_final, sel.budget_warning
             refit = refit_layer(probe, support, cur.bias, damping=config.damping)

@@ -1,8 +1,9 @@
 """Numerical engines for channel selection and weight reconstruction.
 
 Two solvers: an l1-penalised weighted least-squares (LASSO) coordinate
-descent with a geometric lambda search that enforces a cardinality budget,
-and an ordinary least-squares refitter for the kept-channel conv weights.
+descent, finished by an exact solve on its active set, with a geometric
+lambda search that enforces a cardinality budget, and an ordinary
+least-squares refitter for the kept-channel conv weights.
 
 All solves are deterministic: coordinates are visited in ascending index
 order and every tie-break picks the lowest index.
@@ -20,6 +21,9 @@ DEFAULT_MAX_SWEEPS = 10000
 DEFAULT_GRID_RATIO = 1.3
 LAMBDA_FLOOR_FRACTION = 1e-6
 _MAX_GRID_STEPS = 500
+# Stationarity tolerance of the active-set finish, relative to the size of
+# the terms in c_j - (G beta)_j.
+_KKT_RTOL = 1e-9
 
 
 @dataclass
@@ -100,6 +104,35 @@ def _soft_threshold(z: float, t: float) -> float:
     return 0.0
 
 
+def _active_set_solve(gram: np.ndarray, corr: np.ndarray, signs: np.ndarray,
+                      live: np.ndarray, half_lam: float) -> np.ndarray | None:
+    """Exact LASSO solution for a guessed sign pattern, or None if it is not one.
+
+    Solves G_AA beta_A = c_A - (lam/2) s_A on the active set A = {s != 0} and
+    accepts the result only when its signs are `signs` and it passes the KKT
+    conditions: |c_j - (G beta)_j| <= lam/2 on every inactive live column,
+    and stationarity on A within a tolerance relative to the terms' scale.
+    """
+    beta = np.zeros(len(signs))
+    act = np.flatnonzero(signs)
+    g_aa = gram[np.ix_(act, act)]
+    if len(act):
+        try:
+            cf = scipy.linalg.cho_factor(g_aa, lower=True)
+        except np.linalg.LinAlgError:
+            return None
+        beta[act] = scipy.linalg.cho_solve(cf, corr[act] - half_lam * signs[act])
+        if not np.array_equal(np.sign(beta[act]), signs[act]):
+            return None
+    slack = corr - gram @ beta
+    if np.any(np.abs(slack[live & (signs == 0)]) > half_lam):
+        return None
+    scale = np.abs(corr[act]) + np.abs(g_aa) @ np.abs(beta[act]) + half_lam
+    if np.any(np.abs(slack[act] - half_lam * signs[act]) > _KKT_RTOL * scale):
+        return None
+    return beta
+
+
 def lasso_coordinate_descent(system: WeightedSystem, lam: float,
                              beta_init: np.ndarray | None = None,
                              max_sweeps: int = DEFAULT_MAX_SWEEPS,
@@ -107,7 +140,11 @@ def lasso_coordinate_descent(system: WeightedSystem, lam: float,
     """Cyclic coordinate descent for ||b - A beta||^2 + lam * |beta|_1.
 
     Returns (beta, converged).  Stops when the largest coordinate change in
-    a sweep falls below `tol`; running out of sweeps is reported via the
+    a sweep falls below `tol`, or earlier through an exact finish: after a
+    sweep that leaves the sign pattern of beta unchanged, the active set's
+    linear system is solved directly and that solution is returned if it
+    keeps the signs and satisfies the KKT conditions.  `converged` is True
+    when either stop was reached; running out of sweeps is reported via the
     flag, not an exception.  All-zero columns are pinned at beta_j = 0.
     The objective never increases relative to beta_init.
     """
@@ -128,15 +165,16 @@ def lasso_coordinate_descent(system: WeightedSystem, lam: float,
             raise ValueError(f"beta_init length: expected {cols}, got {beta.shape}")
         beta[d == 0.0] = 0.0
 
-    active = np.flatnonzero(d > 0.0)
+    live = d > 0.0
+    live_cols = np.flatnonzero(live)
     half_lam = 0.5 * lam
-    converged = False
+    signs = np.sign(beta)
     for _ in range(max_sweeps):
         # q_j = (A^T A beta)_j; recomputed per sweep to stop drift, then
         # updated incrementally inside the sweep.
         q = gram @ beta
         max_delta = 0.0
-        for j in active:
+        for j in live_cols:
             old = beta[j]
             rho = corr[j] - q[j] + gram[j, j] * old
             new = _soft_threshold(rho, half_lam) / d[j]
@@ -147,9 +185,13 @@ def lasso_coordinate_descent(system: WeightedSystem, lam: float,
                 if delta > max_delta:
                     max_delta = delta
         if max_delta < tol:
-            converged = True
-            break
-    return beta, converged
+            return beta, True
+        prev_signs, signs = signs, np.sign(beta)
+        if np.array_equal(signs, prev_signs):
+            exact = _active_set_solve(gram, corr, signs, live, half_lam)
+            if exact is not None:
+                return exact, True
+    return beta, False
 
 
 def _ols_residual(a: np.ndarray, b: np.ndarray, support: list[int]) -> np.ndarray:

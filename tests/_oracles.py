@@ -145,3 +145,75 @@ def best_subset(a, b, k):
         if r < best_r:
             best_r, best_s = r, s
     return best_r, best_s
+
+
+def lasso_sweeps(a, b, lam, beta_init=None, max_sweeps=10000, tol=1e-9):
+    """Plain cyclic coordinate descent on ||b - A beta||^2 + lam*|beta|_1.
+
+    Sweeps only: stops when a sweep's largest coordinate change is below
+    `tol`.  Returns (beta, converged).
+    """
+    cols = a.shape[1]
+    beta = np.zeros(cols) if beta_init is None else np.array(beta_init, dtype=float)
+    d = (a * a).sum(axis=0)
+    beta[d == 0.0] = 0.0
+    r = b - a @ beta
+    for _ in range(max_sweeps):
+        biggest = 0.0
+        for j in range(cols):
+            if d[j] == 0.0:
+                continue
+            rho = a[:, j] @ r + d[j] * beta[j]
+            new = np.sign(rho) * max(abs(rho) - 0.5 * lam, 0.0) / d[j]
+            if new != beta[j]:
+                r -= a[:, j] * (new - beta[j])
+                biggest = max(biggest, abs(new - beta[j]))
+                beta[j] = new
+        if biggest < tol:
+            return beta, True
+    return beta, False
+
+
+def maxpool_loop(x, window, stride):
+    """Window maxima by explicit loops over (n, c, output row, output column)."""
+    n, c, h, w = x.shape
+    wh, ww = window
+    ho, wo = (h - wh) // stride + 1, (w - ww) // stride + 1
+    out = np.empty((n, c, ho, wo))
+    for i in range(n):
+        for k in range(c):
+            for p in range(ho):
+                for q in range(wo):
+                    best = x[i, k, p * stride, q * stride]
+                    for u in range(wh):
+                        for v in range(ww):
+                            best = max(best, x[i, k, p * stride + u, q * stride + v])
+                    out[i, k, p, q] = best
+    return out
+
+
+def synth_dataset_loop(seed, count, classes, dims=(1, 16, 16), noise=0.25,
+                       amplitude=0.9, jitter=1.5):
+    """`model_io.synth_dataset` written one image at a time: (images, labels)."""
+    c, h, w = dims
+    rng = np.random.default_rng(seed)
+    labels = rng.permutation(np.arange(count, dtype=np.int64) % classes)
+    images = rng.normal(0.3, noise, size=(count, c, h, w))
+    yy, xx = np.mgrid[0:h, 0:w]
+    radius = min(h, w) / 3.3
+    sigma = min(h, w) / 7.5
+    angles = 2.0 * np.pi * np.arange(classes) / classes
+    aspects = 0.5 + 1.2 * (np.arange(classes) % 3) / 2.0
+    tilts = np.pi * np.arange(classes) / max(classes, 1)
+    for i in range(count):
+        k = labels[i]
+        cy = h / 2.0 + radius * np.sin(angles[k]) + rng.uniform(-jitter, jitter)
+        cx = w / 2.0 + radius * np.cos(angles[k]) + rng.uniform(-jitter, jitter)
+        tilt = tilts[k] + rng.uniform(-0.25, 0.25)
+        ct, st = np.cos(tilt), np.sin(tilt)
+        u = (yy - cy) * ct + (xx - cx) * st
+        v = -(yy - cy) * st + (xx - cx) * ct
+        su, sv = sigma * aspects[k], sigma / aspects[k]
+        images[i, k % c] += amplitude * np.exp(-0.5 * ((u / su) ** 2 + (v / sv) ** 2))
+    np.clip(images, 0.0, 1.0, out=images)
+    return images, labels

@@ -1,3 +1,4 @@
+import time
 from types import SimpleNamespace
 
 import numpy as np
@@ -204,6 +205,19 @@ class TestPruneCommand:
         harness.write_report(path, report)
         back = harness.read_report(path)
         assert harness.report_to_dict(back) == harness.report_to_dict(report)
+
+    def test_prune_timer_excludes_baseline_eval(self, trained, train_data,
+                                                 test_data, monkeypatch):
+        def slow_evaluate(ckpt, data):
+            time.sleep(0.3)
+            return 0.5
+
+        monkeypatch.setattr(harness, "evaluate", slow_evaluate)
+        monkeypatch.setattr(pruner, "prune_model",
+                            lambda ckpt, data, cfg: (ckpt.copy(), []))
+        _, report, _ = harness.prune(trained, train_data, test_data,
+                                     pruner.PruneConfig(budgets={}))
+        assert report.timings["prune_s"] < 0.3 <= report.timings["eval_s"]
 
     def test_timings_never_serialized(self, trained, train_data, test_data,
                                       tmp_path):

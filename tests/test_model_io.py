@@ -1,7 +1,12 @@
+import json
+import zlib
+
 import numpy as np
 import pytest
 
 from prunekit import model_io, nn
+
+from _oracles import synth_dataset_loop
 
 
 def small_ckpt(seed=0):
@@ -102,6 +107,79 @@ class TestCheckpointRoundTrip:
             model_io.load_checkpoint(path)
 
 
+def write_container(path, ckpt, tensors):
+    """A checkpoint file holding exactly `tensors`: (layer, name, array) triples."""
+    manifest = [{"layer": i, "name": name, "shape": list(arr.shape)}
+                for i, name, arr in tensors]
+    header = json.dumps({"version": model_io.FORMAT_VERSION,
+                         "spec": model_io.spec_to_dict(ckpt.spec),
+                         "metadata": ckpt.metadata, "tensors": manifest},
+                        sort_keys=True, separators=(",", ":")).encode()
+    blob = model_io.MAGIC + len(header).to_bytes(4, "little") + header
+    for _, _, arr in tensors:
+        payload = np.ascontiguousarray(arr, dtype="<f8").tobytes()
+        blob += (zlib.crc32(payload) & 0xFFFFFFFF).to_bytes(4, "little") + payload
+    path.write_bytes(blob)
+
+
+def all_tensors(ckpt):
+    return [(i, name, getattr(p, name)) for i, p in enumerate(ckpt.params)
+            if p is not None for name in ("weights", "bias")]
+
+
+class TestCheckpointFailsLoud:
+    def test_container_writer_matches_save(self, tmp_path):
+        ckpt = small_ckpt()
+        model_io.save_checkpoint(tmp_path / "a.ckpt", ckpt)
+        write_container(tmp_path / "b.ckpt", ckpt, all_tensors(ckpt))
+        assert (tmp_path / "a.ckpt").read_bytes() == (tmp_path / "b.ckpt").read_bytes()
+
+    def test_trailing_bytes(self, tmp_path):
+        path = tmp_path / "m.ckpt"
+        model_io.save_checkpoint(path, small_ckpt())
+        path.write_bytes(path.read_bytes() + b"\x00\x01\x02")
+        with pytest.raises(model_io.FormatError, match="3 trailing bytes") as err:
+            model_io.load_checkpoint(path)
+        assert "\n" not in str(err.value)
+
+    def test_missing_bias(self, tmp_path):
+        ckpt = small_ckpt()
+        path = tmp_path / "m.ckpt"
+        write_container(path, ckpt,
+                        [t for t in all_tensors(ckpt) if t[:2] != (0, "bias")])
+        with pytest.raises(model_io.FormatError,
+                           match=r"layer 0 \(conv2d\) has no bias tensor"):
+            model_io.load_checkpoint(path)
+
+    def test_bias_shape_checked_against_spec(self, tmp_path):
+        ckpt = small_ckpt()
+        tensors = [(i, name, np.zeros(1) if (i, name) == (0, "bias") else arr)
+                   for i, name, arr in all_tensors(ckpt)]
+        path = tmp_path / "m.ckpt"
+        write_container(path, ckpt, tensors)
+        with pytest.raises(model_io.FormatError,
+                           match=r"layer 0: bias \(1,\) != \(2,\)"):
+            model_io.load_checkpoint(path)
+
+    def test_duplicate_and_stray_tensors(self, tmp_path):
+        ckpt = small_ckpt()
+        path = tmp_path / "m.ckpt"
+        write_container(path, ckpt, all_tensors(ckpt) + [all_tensors(ckpt)[0]])
+        with pytest.raises(model_io.FormatError, match="stored twice"):
+            model_io.load_checkpoint(path)
+        write_container(path, ckpt, all_tensors(ckpt) + [(1, "weights", np.zeros(2))])
+        with pytest.raises(model_io.FormatError, match="unexpected tensor 'weights' "
+                                                       "for layer 1"):
+            model_io.load_checkpoint(path)
+
+    def test_in_memory_bias_shape_rejected(self):
+        ckpt = small_ckpt()
+        params = nn.copy_params(ckpt.params)
+        params[3] = nn.LayerParams(params[3].weights, np.zeros(2))
+        with pytest.raises(ValueError, match=r"layer 3: bias \(2,\) != \(3,\)"):
+            model_io.Checkpoint(ckpt.spec, params)
+
+
 class TestIdxLoader:
     def test_hand_crafted_two_image_file(self, tmp_path):
         pixels = np.array([[[0, 51], [102, 255]], [[10, 20], [30, 40]]],
@@ -181,6 +259,17 @@ class TestSynthDataset:
         b = model_io.synth_dataset(5, 20, 4)
         assert a.images.tobytes() == b.images.tobytes()
         assert a.labels.tobytes() == b.labels.tobytes()
+
+    @pytest.mark.parametrize("seed", [11, 2968811710, 0])
+    @pytest.mark.parametrize("count,classes,dims", [
+        (800, 10, (1, 12, 12)), (60, 10, (1, 28, 28)), (37, 4, (3, 9, 11)),
+        (25, 1, (2, 8, 8)), (1100, 7, (1, 6, 6))])
+    def test_matches_per_image_loop_bitwise(self, seed, count, classes, dims):
+        kw = dict(noise=0.25, amplitude=0.8, jitter=1.2)
+        ds = model_io.synth_dataset(seed, count, classes, dims=dims, **kw)
+        images, labels = synth_dataset_loop(seed, count, classes, dims=dims, **kw)
+        assert ds.images.tobytes() == images.tobytes()
+        assert ds.labels.tobytes() == labels.tobytes()
 
     def test_count_zero(self):
         ds = model_io.synth_dataset(0, 0, 3)

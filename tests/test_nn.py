@@ -4,7 +4,7 @@ from hypothesis import given, strategies as st
 
 from prunekit import nn
 
-from _oracles import conv2d_loop, fd_max_rel_error, random_small_net
+from _oracles import conv2d_loop, fd_max_rel_error, maxpool_loop, random_small_net
 
 
 def tiny_spec():
@@ -213,6 +213,39 @@ class TestBackwardCollect:
         assert abs(nn.cross_entropy(logits, labels) - direct) < 1e-12
 
 
+class TestBackwardStop:
+    @pytest.mark.parametrize("seed", range(5))
+    def test_gradients_from_stop_up_match_full_pass_bitwise(self, seed):
+        rng = np.random.default_rng(seed)
+        spec, params, x, labels = random_small_net(rng)
+        trace = nn.forward_collect(spec, params, x)
+        full = nn.backward_collect(spec, params, trace, labels)
+        num_layers = len(spec.layers)
+        for stop in range(1, num_layers):
+            part = nn.backward_collect(spec, params, trace, labels, stop=stop)
+            assert part.loss == full.loss
+            assert part.wrt_input is None
+            for i in range(num_layers - 1):
+                if i >= stop - 1:
+                    assert part.activations[i].tobytes() == full.activations[i].tobytes()
+                else:
+                    assert part.activations[i] is None
+            for i, w in enumerate(full.weights):
+                if w is None or i < stop:
+                    assert part.weights[i] is None
+                else:
+                    assert part.weights[i].weights.tobytes() == w.weights.tobytes()
+                    assert part.weights[i].bias.tobytes() == w.bias.tobytes()
+
+    def test_stop_out_of_range(self, rng):
+        spec = tiny_spec()
+        params = nn.init_params(spec, 0)
+        trace = nn.forward_collect(spec, params, rng.normal(size=(1, 2, 6, 6)))
+        with pytest.raises(ValueError, match="stop must be in"):
+            nn.backward_collect(spec, params, trace, np.array([0]),
+                                stop=len(spec.layers))
+
+
 class TestAuxOps:
     def test_relu(self):
         np.testing.assert_array_equal(nn.relu_forward(np.array([-1.0, 0.0, 2.0])),
@@ -224,6 +257,23 @@ class TestAuxOps:
         assert out[0, 0, 0, 0] == 4.0
         dx = nn.maxpool2d_backward(x, (2, 2), 2, np.ones((1, 1, 1, 1)))
         np.testing.assert_array_equal(dx[0, 0], [[0.0, 0.0], [0.0, 1.0]])
+
+    @given(st.integers(0, 2 ** 32 - 1), st.integers(1, 3), st.integers(1, 3),
+           st.integers(1, 3))
+    def test_maxpool_matches_window_loop_bitwise(self, seed, wh, ww, stride):
+        # Few distinct values, half of them clipped to zero by the ReLU, so
+        # most windows hold ties; stride < window gives overlapping windows.
+        rng = np.random.default_rng(seed)
+        shape = (int(rng.integers(1, 3)), int(rng.integers(1, 4)),
+                 int(rng.integers(wh, 9)), int(rng.integers(ww, 9)))
+        x = nn.relu_forward(rng.choice([-1.5, -0.5, 0.25, 0.5, 2.0], size=shape))
+        got = nn.maxpool2d_forward(x, (wh, ww), stride)
+        want = maxpool_loop(x, (wh, ww), stride)
+        assert got.shape == want.shape and got.tobytes() == want.tobytes()
+
+    def test_maxpool_window_larger_than_input(self):
+        with pytest.raises(nn.ShapeError, match="larger than input"):
+            nn.maxpool2d_forward(np.zeros((1, 1, 2, 2)), (3, 3), 1)
 
     def test_maxpool_tie_lowest_flat_index(self):
         x = np.full((1, 1, 2, 2), 3.0)

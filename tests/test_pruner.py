@@ -364,6 +364,19 @@ class TestPruneModel:
         assert len(err.value.prune_traces) == 1
         assert err.value.prune_traces[0].conv_ordinal == 2
 
+    @pytest.mark.parametrize("variant", [v for v in pruner.VARIANTS
+                                         if v != pruner.VARIANT_MAGNITUDE])
+    def test_dead_input_names_the_conv(self, trained, synth_data, variant):
+        # conv 1 outputs -1 everywhere, so the ReLU feeds conv 2 nothing but zeros.
+        dead = trained.copy()
+        dead.params[0] = nn.LayerParams(np.zeros_like(dead.params[0].weights),
+                                        np.full_like(dead.params[0].bias, -1.0))
+        cfg = quick_config(flops_target=2.0, variant=variant, probe_images=8)
+        with pytest.raises(ValueError) as err:
+            pruner.prune_model(dead, synth_data, cfg)
+        assert str(err.value) == ("conv 2 (layer 3): every weighted column is zero, "
+                                  "so there is no channel to select")
+
     def test_variants_all_run(self, trained, synth_data):
         for variant in pruner.VARIANTS:
             cfg = quick_config(flops_target=2.0, variant=variant,

@@ -4,7 +4,8 @@ from hypothesis import given, settings, strategies as st
 
 from prunekit import solvers
 
-from _oracles import best_subset, kkt_violation, lasso_objective, subset_residual
+from _oracles import (best_subset, kkt_violation, lasso_objective, lasso_sweeps,
+                      subset_residual)
 
 
 def random_system(rng, rows=30, cols=6, sparsity=3, noise=0.1, scale_cols=False):
@@ -132,6 +133,53 @@ class TestLassoCoordinateDescent:
             cur = sys_.objective(beta, lam)
             assert cur <= prev + 1e-9 * max(1.0, prev)
             prev = cur
+
+
+def collinear_system(rng, rows, cols, spread):
+    """Columns that share one direction plus `spread`-sized private noise."""
+    a = rng.normal(size=(rows, 1)) + spread * rng.normal(size=(rows, cols))
+    a *= rng.uniform(0.2, 3.0, size=cols)
+    k = int(rng.integers(1, cols + 1))
+    b = a[:, :k] @ rng.normal(size=k) + 0.1 * rng.normal(size=rows)
+    return solvers.WeightedSystem(a, b)
+
+
+class TestActiveSetFinish:
+    @given(st.integers(0, 2 ** 32 - 1), st.floats(0.001, 0.9), st.floats(0.05, 2.0))
+    @settings(max_examples=30)
+    def test_support_matches_sweep_oracle_and_kkt(self, seed, frac, spread):
+        rng = np.random.default_rng(seed)
+        cols = int(rng.integers(2, 9))
+        sys_ = collinear_system(rng, int(rng.integers(cols + 2, 40)), cols, spread)
+        lam = frac * 2.0 * np.abs(sys_.corr()).max()
+        beta, converged = solvers.lasso_coordinate_descent(sys_, lam)
+        assert converged
+        viol, scale = kkt_violation(sys_.a, sys_.b, beta, lam)
+        assert viol <= 1e-9 * scale
+        ref, ref_converged = lasso_sweeps(sys_.a, sys_.b, lam, tol=1e-12)
+        if ref_converged:
+            assert np.flatnonzero(beta).tolist() == np.flatnonzero(ref).tolist()
+
+    def test_ill_conditioned_system_finishes_where_sweeps_stall(self):
+        rng = np.random.default_rng(3)
+        sys_ = collinear_system(rng, 60, 16, 0.02)
+        lam = 0.02 * np.abs(sys_.corr()).max()
+        _, ref_converged = lasso_sweeps(sys_.a, sys_.b, lam, max_sweeps=2000)
+        assert not ref_converged
+        beta, converged = solvers.lasso_coordinate_descent(sys_, lam, max_sweeps=2000)
+        assert converged
+        viol, scale = kkt_violation(sys_.a, sys_.b, beta, lam)
+        assert viol <= 1e-9 * scale
+
+    def test_warm_start_at_the_solution_finishes_in_one_sweep(self, rng):
+        sys_ = collinear_system(rng, 40, 8, 0.1)
+        lam = 0.05 * np.abs(sys_.corr()).max()
+        beta, converged = solvers.lasso_coordinate_descent(sys_, lam)
+        assert converged and np.count_nonzero(beta)
+        again, converged = solvers.lasso_coordinate_descent(sys_, lam, beta_init=beta,
+                                                            max_sweeps=1, tol=0.0)
+        assert converged
+        np.testing.assert_allclose(again, beta, rtol=1e-9, atol=1e-12)
 
 
 class TestLambdaSearch:
