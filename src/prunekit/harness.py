@@ -35,7 +35,7 @@ def flops_count(spec) -> FlopsReport:
     dims = tuple(spec.input_dims)
     per_layer: list[int] = []
     for i, layer in enumerate(spec.layers):
-        dims = nn._layer_out_dims(layer, dims, i, getattr(spec, "num_classes", 0))
+        dims = nn._layer_out_dims(layer, dims, i, spec.num_classes)
         if layer.kind == nn.CONV2D:
             kh, kw = layer.kernel
             _, ho, wo = dims
@@ -298,10 +298,9 @@ class ExperimentCell:
 
 @dataclass
 class ExperimentPlan:
-    """Cells to run plus the (mean over seeds) aggregation rule."""
+    """Cells to run; rows aggregate each (variant, locations) pair over seeds."""
 
     cells: tuple[ExperimentCell, ...]
-    aggregate: str = "mean"
 
     @staticmethod
     def grid(variants, seeds, locations=(10,)) -> "ExperimentPlan":
@@ -347,6 +346,11 @@ def run_experiment(plan: ExperimentPlan, spec: nn.NetworkSpec,
     any execution order yields the same result.  When `out_dir` is given,
     per-cell reports, traces, and the aggregate table are written there.
     """
+    cells = sorted(plan.cells, key=lambda c: (c.variant, c.num_locations, c.seed))
+    # Building every cell's config validates its variant and location count
+    # before any baseline is trained.
+    configs = [replace(prune_cfg, variant=c.variant, seed=c.seed,
+                       num_locations=c.num_locations) for c in cells]
     out_path = Path(out_dir) if out_dir is not None else None
     if out_path is not None:
         out_path.mkdir(parents=True, exist_ok=True)
@@ -360,10 +364,7 @@ def run_experiment(plan: ExperimentPlan, spec: nn.NetworkSpec,
             model_io.save_checkpoint(out_path / f"baseline_seed{seed}.ckpt", ckpt)
 
     reports: dict[tuple, CompressionReport] = {}
-    cells = sorted(plan.cells, key=lambda c: (c.variant, c.num_locations, c.seed))
-    for cell in cells:
-        cfg = replace(prune_cfg, variant=cell.variant, seed=cell.seed,
-                      num_locations=cell.num_locations)
+    for cell, cfg in zip(cells, configs):
         pruned, report, traces = prune(baselines[cell.seed], train_data,
                                        test_data, cfg)
         tuned = finetune(pruned, train_data, replace(finetune_cfg, seed=cell.seed),

@@ -113,8 +113,25 @@ def spec_to_dict(spec: nn.NetworkSpec) -> dict:
 
 
 def spec_from_dict(d: dict) -> nn.NetworkSpec:
-    return nn.NetworkSpec(tuple(_layer_from_dict(l) for l in d["layers"]),
-                          tuple(d["input_dims"]), d["num_classes"])
+    """Inverse of `spec_to_dict`; a malformed record raises a one-line FormatError."""
+    try:
+        layers = list(d["layers"])
+        input_dims, num_classes = tuple(d["input_dims"]), d["num_classes"]
+    except (KeyError, TypeError):
+        raise FormatError("spec is not a {layers, input_dims, num_classes} "
+                          "record") from None
+    parsed = []
+    for i, entry in enumerate(layers):
+        try:
+            parsed.append(_layer_from_dict(entry))
+        except KeyError as exc:
+            raise FormatError(f"spec layer {i} has no {exc}") from None
+        except (TypeError, ValueError) as exc:
+            raise FormatError(f"spec layer {i}: {exc}") from None
+    try:
+        return nn.NetworkSpec(tuple(parsed), input_dims, num_classes)
+    except (TypeError, ValueError) as exc:
+        raise FormatError(f"spec: {exc}") from None
 
 
 def save_checkpoint(path, ckpt: Checkpoint) -> None:
@@ -150,18 +167,34 @@ def load_checkpoint(path) -> Checkpoint:
     off += 4
     if len(data) < off + hlen:
         raise FormatError(f"{path}: truncated header at byte {len(data)}")
-    header = json.loads(data[off:off + hlen])
+    try:
+        header = json.loads(data[off:off + hlen])
+    except ValueError as exc:
+        raise FormatError(f"{path}: header is not JSON ({exc})") from None
     off += hlen
+    if not isinstance(header, dict):
+        raise FormatError(f"{path}: header is a JSON {type(header).__name__}, "
+                          "not an object")
     if header.get("version") != FORMAT_VERSION:
         raise FormatError(f"{path}: unsupported version {header.get('version')} "
                           f"(expected {FORMAT_VERSION})")
-    spec = spec_from_dict(header["spec"])
+    for key in ("spec", "tensors", "metadata"):
+        if key not in header:
+            raise FormatError(f"{path}: header has no {key!r}")
+    try:
+        spec = spec_from_dict(header["spec"])
+    except FormatError as exc:
+        raise FormatError(f"{path}: {exc}") from None
     staged: dict[tuple[int, str], np.ndarray] = {}
-    for entry in header["tensors"]:
-        key = (entry["layer"], entry["name"])
+    for n, entry in enumerate(header["tensors"]):
+        try:
+            key = (int(entry["layer"]), str(entry["name"]))
+            shape = tuple(int(d) for d in entry["shape"])
+        except (KeyError, TypeError, ValueError):
+            raise FormatError(f"{path}: tensor entry {n} is not a "
+                              "{layer, name, shape} record") from None
         if key in staged:
             raise FormatError(f"{path}: layer {key[0]} {key[1]} stored twice")
-        shape = tuple(entry["shape"])
         nbytes = int(np.prod(shape, dtype=np.int64)) * 8
         if len(data) < off + 4 + nbytes:
             raise FormatError(f"{path}: truncated tensor data at byte {len(data)}")
@@ -169,8 +202,12 @@ def load_checkpoint(path) -> Checkpoint:
         payload = data[off + 4:off + 4 + nbytes]
         if (zlib.crc32(payload) & 0xFFFFFFFF) != stored_crc:
             raise ChecksumError(f"{path}: checksum mismatch for layer "
-                                f"{entry['layer']} {entry['name']}")
-        staged[key] = np.frombuffer(payload, dtype="<f8").reshape(shape).copy()
+                                f"{key[0]} {key[1]}")
+        arr = np.frombuffer(payload, dtype="<f8").reshape(shape).copy()
+        if not np.isfinite(arr).all():
+            raise FormatError(f"{path}: layer {key[0]} {key[1]} holds a non-finite "
+                              "value")
+        staged[key] = arr
         off += 4 + nbytes
     if off != len(data):
         raise FormatError(f"{path}: {len(data) - off} trailing bytes after the last "

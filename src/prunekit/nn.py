@@ -264,12 +264,10 @@ def _conv_backward(x: np.ndarray, weights: np.ndarray, stride: int, padding: int
     return dx, dw, db
 
 
-def conv2d_forward(x, weights, bias, mask=None, stride: int = 1,
-                   padding: int = 0) -> np.ndarray:
-    """Masked 2-D cross-correlation.
+def conv2d_forward(x, weights, bias, stride: int = 1, padding: int = 0) -> np.ndarray:
+    """2-D cross-correlation.
 
-    out[i] = sum_j mask[j] * (x[j] star weights[i, j]) + bias[i]; input
-    channels with mask[j] == 0 contribute nothing.  `x` may be a single
+    out[i] = sum_j (x[j] star weights[i, j]) + bias[i].  `x` may be a single
     (c, h, w) image or a (n, c, h, w) batch.
     """
     x = as_tensor(x)
@@ -287,13 +285,6 @@ def conv2d_forward(x, weights, bias, mask=None, stride: int = 1,
     bias = as_tensor(bias)
     if bias.shape != (c_out,):
         raise ShapeError(f"bias length: expected {c_out}, got {bias.shape}")
-    if mask is not None:
-        mask = as_tensor(mask)
-        if mask.shape != (c_in,):
-            raise ShapeError(f"mask length: expected {c_in}, got {mask.shape}")
-        if not np.all((mask == 0.0) | (mask == 1.0)):
-            raise ValueError("mask entries must be 0 or 1")
-        x = x * mask.reshape(1, -1, 1, 1)
     y = _conv_forward(x, weights, bias, stride, padding)
     return y[0] if single else y
 
@@ -384,12 +375,13 @@ class ForwardTrace:
     """Everything a forward pass produced: input, per-layer outputs, logits.
 
     outputs[i] is the (batched) output of layers[i]; the head's entry holds
-    softmax probabilities and `logits` is the head's input.
+    softmax probabilities and `logits` is the head's input.  A pass that
+    stopped early has fewer outputs and no logits.
     """
 
     x: np.ndarray
     outputs: list[np.ndarray]
-    logits: np.ndarray
+    logits: np.ndarray | None
 
 
 @dataclass
@@ -408,18 +400,13 @@ class Gradients:
     loss: float
 
 
-def _mask_for(masks, i):
-    if masks is None:
-        return None
-    return masks.get(i)
-
-
 def forward_collect(spec: NetworkSpec, params: list[LayerParams | None], x,
-                    masks: dict[int, np.ndarray] | None = None) -> ForwardTrace:
-    """Run the (optionally channel-masked) network, keeping every activation.
+                    upto: int | None = None) -> ForwardTrace:
+    """Run the network, keeping every activation.
 
-    `masks` maps conv layer index -> binary vector over that conv's input
-    channels; missing entries mean all-ones.
+    `upto` is the index of the last layer to run (default: all of them); the
+    trace then holds outputs[0..upto], and `logits` is None unless the head
+    was reached.  Everything computed is bit-identical to the full pass.
     """
     x = as_tensor(x)
     if x.ndim == 3:
@@ -427,15 +414,17 @@ def forward_collect(spec: NetworkSpec, params: list[LayerParams | None], x,
     if x.shape[1:] != tuple(spec.input_dims):
         raise ShapeError(f"input dims: expected {tuple(spec.input_dims)}, "
                          f"got {x.shape[1:]}")
+    num_layers = len(spec.layers)
+    if upto is None:
+        upto = num_layers - 1
+    if not 0 <= upto < num_layers:
+        raise ValueError(f"upto must be in [0, {num_layers}), got {upto}")
     cur = x
     outputs: list[np.ndarray] = []
     logits = None
-    for i, layer in enumerate(spec.layers):
+    for i, layer in enumerate(spec.layers[:upto + 1]):
         if layer.kind == CONV2D:
             p = params[i]
-            m = _mask_for(masks, i)
-            if m is not None:
-                cur = cur * as_tensor(m).reshape(1, -1, 1, 1)
             cur = _conv_forward(cur, p.weights, p.bias, layer.stride, layer.padding)
         elif layer.kind == RELU:
             cur = relu_forward(cur)
@@ -454,9 +443,7 @@ def forward_collect(spec: NetworkSpec, params: list[LayerParams | None], x,
 
 
 def backward_collect(spec: NetworkSpec, params: list[LayerParams | None],
-                     trace: ForwardTrace, labels,
-                     masks: dict[int, np.ndarray] | None = None,
-                     stop: int = 0) -> Gradients:
+                     trace: ForwardTrace, labels, stop: int = 0) -> Gradients:
     """Backpropagate mean cross-entropy against `labels` through a forward trace.
 
     `stop` is the lowest layer index the pass visits: layers below it get
@@ -474,6 +461,8 @@ def backward_collect(spec: NetworkSpec, params: list[LayerParams | None],
     num_layers = len(spec.layers)
     if not 0 <= stop < num_layers:
         raise ValueError(f"stop must be in [0, {num_layers}), got {stop}")
+    if trace.logits is None:
+        raise ValueError("trace stops before the head; backward needs a full forward")
 
     loss = cross_entropy(trace.logits, labels)
     probs = trace.outputs[-1]
@@ -490,12 +479,8 @@ def backward_collect(spec: NetworkSpec, params: list[LayerParams | None],
         layer = spec.layers[i]
         x_in = trace.outputs[i - 1] if i > 0 else trace.x
         if layer.kind == CONV2D:
-            m = _mask_for(masks, i)
-            xm = x_in * as_tensor(m).reshape(1, -1, 1, 1) if m is not None else x_in
-            dx, dw, db = _conv_backward(xm, params[i].weights, layer.stride,
+            dx, dw, db = _conv_backward(x_in, params[i].weights, layer.stride,
                                         layer.padding, grad)
-            if m is not None:
-                dx = dx * as_tensor(m).reshape(1, -1, 1, 1)
             weight_grads[i] = LayerParams(dw, db)
             grad = dx
         elif layer.kind == RELU:

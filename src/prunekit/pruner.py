@@ -18,6 +18,7 @@ from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from . import model_io, nn, solvers
 
@@ -97,22 +98,6 @@ class FeatureProbe:
     exhaustive: bool
 
 
-def _gather_patches(x_padded: np.ndarray, rows: np.ndarray, cols: np.ndarray,
-                    kh: int, kw: int, stride: int) -> np.ndarray:
-    """Receptive fields (p, c, kh, kw) for output positions (rows, cols)."""
-    out = np.empty((len(rows), x_padded.shape[0], kh, kw))
-    for p, (r, c) in enumerate(zip(rows, cols)):
-        r0, c0 = r * stride, c * stride
-        out[p] = x_padded[:, r0:r0 + kh, c0:c0 + kw]
-    return out
-
-
-def _slice_trace(trace: nn.ForwardTrace, i: int) -> nn.ForwardTrace:
-    return nn.ForwardTrace(x=trace.x[i:i + 1],
-                           outputs=[o[i:i + 1] for o in trace.outputs],
-                           logits=trace.logits[i:i + 1])
-
-
 def extract_probes(uncompressed: model_io.Checkpoint, compressed: model_io.Checkpoint,
                    layer_index: int, dataset: model_io.DatasetHandle,
                    config: PruneConfig) -> FeatureProbe:
@@ -120,11 +105,16 @@ def extract_probes(uncompressed: model_io.Checkpoint, compressed: model_io.Check
 
     Draws `probe_images` images and `num_locations` spatial positions per
     image (without replacement; all positions when the map is smaller, with
-    the `exhaustive` flag set).  y0 comes from the uncompressed model;
-    ystar, the loss gradient, the input patches and the contributions z come
-    from one forward+backward pass of the current compressed model per image,
-    with z evaluated against the uncompressed layer weights.  The backward
-    pass stops at the probed layer's output, the only gradient needed.
+    the `exhaustive` flag set).  y0 comes from the uncompressed model's
+    forward, run only up to the probed layer; ystar, the loss gradient, the
+    input patches and the contributions z come from the current compressed
+    model, with z evaluated against the uncompressed layer weights.
+
+    Images are processed in chunks of up to 64 with one forward pair and one
+    backward each.  The backward stops at the probed layer's output, the only
+    gradient needed.  Mean cross-entropy is a sum of per-image terms and no
+    layer couples images, so the chunk gradient times the chunk size is each
+    image's own batch-size-1 gradient.
     """
     layer = compressed.spec.layers[layer_index]
     if layer.kind != nn.CONV2D:
@@ -139,8 +129,9 @@ def extract_probes(uncompressed: model_io.Checkpoint, compressed: model_io.Check
     image_ids = np.sort(rng.choice(n_avail, size=n_images, replace=False))
     n_loc = min(config.num_locations, ho * wo)
     exhaustive = ho * wo < config.num_locations
-    flat_locs = [rng.choice(ho * wo, size=n_loc, replace=False)
-                 for _ in range(n_images)]
+    flat_locs = np.array([rng.choice(ho * wo, size=n_loc, replace=False)
+                          for _ in range(n_images)])
+    rows, cols = flat_locs // wo, flat_locs % wo
 
     w0 = uncompressed.params[layer_index].weights
     b0_unc = uncompressed.params[layer_index].bias
@@ -153,39 +144,37 @@ def extract_probes(uncompressed: model_io.Checkpoint, compressed: model_io.Check
     grad = np.empty((total, c_out))
     z = np.empty((total, c_out, c_in))
     patches = np.empty((total, c_in, kh, kw))
-    probe_ids = np.empty(total, dtype=np.int64)
-    probe_locs = np.empty((total, 2), dtype=np.int64)
 
     for start in range(0, n_images, _PROBE_CHUNK):
         ids = image_ids[start:start + _PROBE_CHUNK]
+        n = len(ids)
         batch = dataset.images[ids]
-        labels = dataset.labels[ids]
-        trace_u = nn.forward_collect(uncompressed.spec, uncompressed.params, batch)
+        trace_u = nn.forward_collect(uncompressed.spec, uncompressed.params, batch,
+                                     upto=layer_index)
         trace_c = nn.forward_collect(compressed.spec, compressed.params, batch)
-        for k in range(len(ids)):
-            row = start + k
-            single = _slice_trace(trace_c, k)
-            grads = nn.backward_collect(compressed.spec, compressed.params, single,
-                                        labels[k:k + 1], stop=layer_index + 1)
-            loc = flat_locs[row]
-            rr, cc = loc // wo, loc % wo
-            sl = slice(row * n_loc, (row + 1) * n_loc)
-            y0[sl] = trace_u.outputs[layer_index][k][:, rr, cc].T - b0_unc
-            ystar[sl] = trace_c.outputs[layer_index][k][:, rr, cc].T - b_cur
-            grad[sl] = grads.activations[layer_index][0][:, rr, cc].T
-            x_in = single.outputs[layer_index - 1][0] if layer_index > 0 else single.x[0]
-            if pad:
-                x_in = np.pad(x_in, ((0, 0), (pad, pad), (pad, pad)))
-            pat = _gather_patches(x_in, rr, cc, kh, kw, layer.stride)
-            patches[sl] = pat
-            z[sl] = np.einsum("pjuv,ijuv->pij", pat, w0)
-            probe_ids[sl] = ids[k]
-            probe_locs[sl, 0] = rr
-            probe_locs[sl, 1] = cc
+        grads = nn.backward_collect(compressed.spec, compressed.params, trace_c,
+                                    dataset.labels[ids], stop=layer_index + 1)
+        # Fancy indexing puts the (image, location) axes first: (n, n_loc, ...).
+        k = np.arange(n)[:, None]
+        rr, cc = rows[start:start + n], cols[start:start + n]
+        sl = slice(start * n_loc, (start + n) * n_loc)
+        y0[sl] = (trace_u.outputs[layer_index][k, :, rr, cc] - b0_unc).reshape(-1, c_out)
+        ystar[sl] = (trace_c.outputs[layer_index][k, :, rr, cc] - b_cur).reshape(-1, c_out)
+        grad[sl] = (grads.activations[layer_index][k, :, rr, cc] * n).reshape(-1, c_out)
+        x_in = trace_c.outputs[layer_index - 1] if layer_index > 0 else trace_c.x
+        if pad:
+            x_in = np.pad(x_in, ((0, 0), (0, 0), (pad, pad), (pad, pad)))
+        windows = sliding_window_view(x_in, (kh, kw), axis=(2, 3))[
+            :, :, ::layer.stride, ::layer.stride]
+        pat = windows[k, :, rr, cc].reshape(-1, c_in, kh, kw)
+        patches[sl] = pat
+        z[sl] = np.einsum("pjuv,ijuv->pij", pat, w0)
 
     return FeatureProbe(layer_index=layer_index, y0=y0, ystar=ystar, grad=grad,
-                        z=z, patches=patches, image_ids=probe_ids,
-                        locations=probe_locs, exhaustive=exhaustive)
+                        z=z, patches=patches,
+                        image_ids=np.repeat(image_ids, n_loc),
+                        locations=np.stack([rows.ravel(), cols.ravel()], axis=1),
+                        exhaustive=exhaustive)
 
 
 def build_weighted_system(probe: FeatureProbe, variant: str,
@@ -286,7 +275,11 @@ def refit_layer(probe: FeatureProbe, support, old_bias: np.ndarray,
 
 @dataclass
 class PruneTrace:
-    """One line of the pruning log: what was kept at one conv layer and why."""
+    """One line of the pruning log: what was kept at one conv layer and why.
+
+    `converged` is False when the LASSO solve at `lambda_final` ran out of
+    `max_sweeps`; magnitude selection has no solve and reports True.
+    """
 
     layer_index: int
     conv_ordinal: int
@@ -302,6 +295,7 @@ class PruneTrace:
     normal_residual: float = 0.0
     weight_norm: float = 0.0
     rhs_scale: float = 0.0
+    converged: bool = True
 
 
 def _rewrite(ckpt: model_io.Checkpoint, prev_index: int, layer_index: int,
@@ -423,7 +417,7 @@ def prune_model(uncompressed: model_io.Checkpoint, dataset: model_io.DatasetHand
             cur = compressed.params[li]
             if config.variant == VARIANT_MAGNITUDE:
                 support = magnitude_select(cur.weights, budget)
-                lam, warn = None, False
+                lam, warn, converged = None, False, True
             else:
                 system = build_weighted_system(probe, config.variant, config.gamma)
                 if not system.col_sq_norms.any():
@@ -431,6 +425,7 @@ def prune_model(uncompressed: model_io.Checkpoint, dataset: model_io.DatasetHand
                                      "column is zero, so there is no channel to select")
                 sel = select_channels(system, budget, config)
                 support, lam, warn = sel.support, sel.lambda_final, sel.budget_warning
+                converged = sel.converged
             refit = refit_layer(probe, support, cur.bias, damping=config.damping)
             sup = np.asarray(support, dtype=np.int64)
             compressed = _rewrite(compressed, prev, li, sup, refit.weights, refit.bias)
@@ -441,7 +436,8 @@ def prune_model(uncompressed: model_io.Checkpoint, dataset: model_io.DatasetHand
                 residual_after=refit.residual_after, damping=refit.damping,
                 exhaustive_locations=probe.exhaustive, budget_warning=warn,
                 normal_residual=refit.normal_residual,
-                weight_norm=refit.weight_norm, rhs_scale=refit.rhs_scale))
+                weight_norm=refit.weight_norm, rhs_scale=refit.rhs_scale,
+                converged=converged))
         except Exception as exc:
             exc.prune_traces = traces
             raise
@@ -455,7 +451,7 @@ def prune_model(uncompressed: model_io.Checkpoint, dataset: model_io.DatasetHand
 _TRACE_COLUMNS = ("layer", "conv", "variant", "budget", "lambda", "kept",
                   "support", "residual_before", "residual_after", "damping",
                   "exhaustive", "warning", "normal_residual", "weight_norm",
-                  "rhs_scale")
+                  "rhs_scale", "converged")
 
 
 def _fmt_float(x: float | None) -> str:
@@ -472,19 +468,23 @@ def write_traces(path, traces: list[PruneTrace]) -> None:
             _fmt_float(t.residual_before), _fmt_float(t.residual_after),
             _fmt_float(t.damping), str(int(t.exhaustive_locations)),
             str(int(t.budget_warning)), _fmt_float(t.normal_residual),
-            _fmt_float(t.weight_norm), _fmt_float(t.rhs_scale))))
+            _fmt_float(t.weight_norm), _fmt_float(t.rhs_scale),
+            str(int(t.converged)))))
     Path(path).write_text("\n".join(lines) + "\n")
 
 
 def read_traces(path) -> list[PruneTrace]:
+    """Read a trace file; files written before the `converged` column existed
+    still load, with every row read as converged."""
     lines = Path(path).read_text().splitlines()
-    if not lines or tuple(lines[0].split("\t")) != _TRACE_COLUMNS:
+    header = tuple(lines[0].split("\t")) if lines else ()
+    if header not in (_TRACE_COLUMNS, _TRACE_COLUMNS[:-1]):
         raise model_io.FormatError(f"{path}: missing trace header")
     out = []
     for line in lines[1:]:
         f = line.split("\t")
-        if len(f) != len(_TRACE_COLUMNS):
-            raise model_io.FormatError(f"{path}: expected {len(_TRACE_COLUMNS)} "
+        if len(f) != len(header):
+            raise model_io.FormatError(f"{path}: expected {len(header)} "
                                        f"columns, got {len(f)}")
         out.append(PruneTrace(
             layer_index=int(f[0]), conv_ordinal=int(f[1]), variant=f[2],
@@ -493,5 +493,6 @@ def read_traces(path) -> list[PruneTrace]:
             residual_before=float(f[7]), residual_after=float(f[8]),
             damping=float(f[9]), exhaustive_locations=bool(int(f[10])),
             budget_warning=bool(int(f[11])), normal_residual=float(f[12]),
-            weight_norm=float(f[13]), rhs_scale=float(f[14])))
+            weight_norm=float(f[13]), rhs_scale=float(f[14]),
+            converged=bool(int(f[15])) if len(f) > 15 else True))
     return out

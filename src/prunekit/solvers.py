@@ -24,6 +24,10 @@ _MAX_GRID_STEPS = 500
 # Stationarity tolerance of the active-set finish, relative to the size of
 # the terms in c_j - (G beta)_j.
 _KKT_RTOL = 1e-9
+# The normal equations square the condition number of A_S.  Past this
+# condition number of G_SS their solution keeps fewer than half the digits
+# of a double, and the backfill fits on the columns of A itself instead.
+_GRAM_COND_LIMIT = 1.0 / np.sqrt(np.finfo(np.float64).eps)
 
 
 @dataclass
@@ -194,13 +198,6 @@ def lasso_coordinate_descent(system: WeightedSystem, lam: float,
     return beta, False
 
 
-def _ols_residual(a: np.ndarray, b: np.ndarray, support: list[int]) -> np.ndarray:
-    if not support:
-        return b.copy()
-    w, *_ = np.linalg.lstsq(a[:, support], b, rcond=None)
-    return b - a[:, support] @ w
-
-
 def lambda_search(system: WeightedSystem, budget: int,
                   grid_ratio: float = DEFAULT_GRID_RATIO,
                   lambda_floor: float | None = None,
@@ -212,6 +209,13 @@ def lambda_search(system: WeightedSystem, budget: int,
     grid point wins; if its support is under budget, excluded columns are
     backfilled greedily by correlation with the current restricted
     least-squares residual until |support| = min(budget, nonzero columns).
+    Backfill works from the cached Gram matrix and correlation vector: the
+    restricted fit solves G_SS w = c_S, and column j's score is
+    |c_j - G_jS w|, which equals |A_j^T (b - A_S w)|.  When G_SS is
+    rank-deficient or its condition number passes `_GRAM_COND_LIMIT`, that
+    step fits on A_S by least squares and scores against the residual
+    b - A_S w instead.  `residual_norm` is ||b - A w|| with w zero off the
+    support.
     Requesting more columns than are nonzero sets `budget_warning`.
     """
     cols = system.cols
@@ -238,17 +242,35 @@ def lambda_search(system: WeightedSystem, budget: int,
     else:
         raise RuntimeError("lambda grid exhausted without meeting the budget")
 
+    gram, corr = system.gram(), system.corr()
+
+    def restricted_ols(s: np.ndarray) -> tuple[np.ndarray, bool]:
+        # Least-squares coefficients on the columns s, and whether they came
+        # from the normal equations.
+        w, _, rank, sv = np.linalg.lstsq(gram[np.ix_(s, s)], corr[s], rcond=None)
+        if rank == len(s) and (rank == 0 or sv[0] < _GRAM_COND_LIMIT * sv[-1]):
+            return w, True
+        w, *_ = np.linalg.lstsq(system.a[:, s], system.b, rcond=None)
+        return w, False
+
     support = sorted(np.flatnonzero(beta).tolist())
     excluded = [j for j in nonzero_cols.tolist() if j not in support]
     while len(support) < target:
-        r = _ols_residual(system.a, system.b, support)
-        scores = np.abs(system.a[:, excluded].T @ r)
+        s = np.array(support, dtype=np.int64)
+        w, on_gram = restricted_ols(s)
+        if on_gram:
+            scores = np.abs(corr[excluded] - gram[np.ix_(excluded, s)] @ w)
+        else:
+            scores = np.abs(system.a[:, excluded].T @ (system.b - system.a[:, s] @ w))
         pick = excluded[int(np.argmax(scores))]  # argmax ties -> lowest index
         support.append(pick)
         excluded.remove(pick)
         support.sort()
 
-    residual = float(np.linalg.norm(_ols_residual(system.a, system.b, support)))
+    s = np.array(support, dtype=np.int64)
+    coef = np.zeros(cols)
+    coef[s] = restricted_ols(s)[0]
+    residual = float(np.linalg.norm(system.b - system.a @ coef))
     return SelectionResult(beta=beta, support=tuple(support), lambda_final=lam,
                            residual_norm=residual, converged=converged,
                            budget_warning=budget_warning)

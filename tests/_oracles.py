@@ -9,10 +9,10 @@ from itertools import combinations
 
 import numpy as np
 
-from prunekit import nn
+from prunekit import nn, pruner
 
 
-def conv2d_loop(x, weights, bias, stride=1, padding=0, mask=None):
+def conv2d_loop(x, weights, bias, stride=1, padding=0):
     """Six-nested-loop cross-correlation over one (c, h, w) image."""
     c_in, h, w = x.shape
     c_out, _, kh, kw = weights.shape
@@ -26,8 +26,6 @@ def conv2d_loop(x, weights, bias, stride=1, padding=0, mask=None):
             for q in range(wo):
                 acc = bias[i]
                 for j in range(c_in):
-                    if mask is not None and mask[j] == 0:
-                        continue
                     for u in range(kh):
                         for v in range(kw):
                             acc += xp[j, p * stride + u, q * stride + v] * weights[i, j, u, v]
@@ -35,20 +33,20 @@ def conv2d_loop(x, weights, bias, stride=1, padding=0, mask=None):
     return out
 
 
-def loss_of(spec, params, x, labels, masks=None):
-    trace = nn.forward_collect(spec, params, x, masks=masks)
+def loss_of(spec, params, x, labels):
+    trace = nn.forward_collect(spec, params, x)
     return nn.cross_entropy(trace.logits, labels)
 
 
-def fd_max_rel_error(spec, params, x, labels, h=1e-5, floor=1e-6, masks=None):
+def fd_max_rel_error(spec, params, x, labels, h=1e-5, floor=1e-6):
     """Max relative error between backprop and central differences.
 
     Checks every weight/bias entry of every parameterised layer plus every
     entry of the input gradient.  Entries where both sides are below `floor`
     compare at the floor.
     """
-    trace = nn.forward_collect(spec, params, x, masks=masks)
-    grads = nn.backward_collect(spec, params, trace, labels, masks=masks)
+    trace = nn.forward_collect(spec, params, x)
+    grads = nn.backward_collect(spec, params, trace, labels)
     worst = 0.0
 
     def rel(analytic, numeric):
@@ -64,9 +62,9 @@ def fd_max_rel_error(spec, params, x, labels, h=1e-5, floor=1e-6, masks=None):
             for k in range(flat.size):
                 orig = flat[k]
                 flat[k] = orig + h
-                up = loss_of(spec, params, x, labels, masks)
+                up = loss_of(spec, params, x, labels)
                 flat[k] = orig - h
-                down = loss_of(spec, params, x, labels, masks)
+                down = loss_of(spec, params, x, labels)
                 flat[k] = orig
                 worst = max(worst, rel(gflat[k], (up - down) / (2 * h)))
 
@@ -76,9 +74,9 @@ def fd_max_rel_error(spec, params, x, labels, h=1e-5, floor=1e-6, masks=None):
     for k in range(flat.size):
         orig = flat[k]
         flat[k] = orig + h
-        up = loss_of(spec, params, xw, labels, masks)
+        up = loss_of(spec, params, xw, labels)
         flat[k] = orig - h
-        down = loss_of(spec, params, xw, labels, masks)
+        down = loss_of(spec, params, xw, labels)
         flat[k] = orig
         worst = max(worst, rel(gflat[k], (up - down) / (2 * h)))
     return worst
@@ -134,6 +132,23 @@ def subset_residual(a, b, support):
         return float(np.linalg.norm(b))
     w, *_ = np.linalg.lstsq(a[:, support], b, rcond=None)
     return float(np.linalg.norm(b - a[:, support] @ w))
+
+
+def greedy_backfill(a, b, support, target):
+    """Grow `support` to `target` columns, each time adding the nonzero column
+    most correlated with the restricted least-squares residual (lstsq over
+    the columns of A itself; ties to the lowest index)."""
+    support = sorted(support)
+    live = [j for j in range(a.shape[1]) if (a[:, j] ** 2).sum() > 0.0]
+    while len(support) < target:
+        excluded = [j for j in live if j not in support]
+        r = b.copy()
+        if support:
+            w, *_ = np.linalg.lstsq(a[:, support], b, rcond=None)
+            r = b - a[:, support] @ w
+        scores = np.abs(a[:, excluded].T @ r)
+        support = sorted(support + [excluded[int(np.argmax(scores))]])
+    return tuple(support)
 
 
 def best_subset(a, b, k):
@@ -217,3 +232,59 @@ def synth_dataset_loop(seed, count, classes, dims=(1, 16, 16), noise=0.25,
         images[i, k % c] += amplitude * np.exp(-0.5 * ((u / su) ** 2 + (v / sv) ** 2))
     np.clip(images, 0.0, 1.0, out=images)
     return images, labels
+
+
+def extract_probes_loop(uncompressed, compressed, layer_index, dataset, config):
+    """`pruner.extract_probes` with one batch-size-1 backward per probe image.
+
+    Same sampling draws as the library; each image's gradient comes from its
+    own backward pass and each receptive field from an explicit slice.
+    Forwards run over the library's 64-image chunks.
+    """
+    layer = compressed.spec.layers[layer_index]
+    kh, kw = layer.kernel
+    c_out, ho, wo = compressed.spec.activation_dims()[layer_index]
+    c_in, pad, stride = layer.in_channels, layer.padding, layer.stride
+
+    rng = np.random.default_rng([config.seed, layer_index])
+    n_images = min(config.probe_images, len(dataset))
+    image_ids = np.sort(rng.choice(len(dataset), size=n_images, replace=False))
+    n_loc = min(config.num_locations, ho * wo)
+    flat_locs = [rng.choice(ho * wo, size=n_loc, replace=False)
+                 for _ in range(n_images)]
+
+    w0 = uncompressed.params[layer_index].weights
+    b0 = uncompressed.params[layer_index].bias
+    b_cur = compressed.params[layer_index].bias
+    y0, ystar, grad, z, patches, ids_out, locs_out = ([] for _ in range(7))
+    for start in range(0, n_images, 64):
+        ids = image_ids[start:start + 64]
+        trace_u = nn.forward_collect(uncompressed.spec, uncompressed.params,
+                                     dataset.images[ids])
+        trace_c = nn.forward_collect(compressed.spec, compressed.params,
+                                     dataset.images[ids])
+        for k, image in enumerate(ids):
+            single = nn.ForwardTrace(x=trace_c.x[k:k + 1],
+                                     outputs=[o[k:k + 1] for o in trace_c.outputs],
+                                     logits=trace_c.logits[k:k + 1])
+            grads = nn.backward_collect(compressed.spec, compressed.params, single,
+                                        dataset.labels[image:image + 1])
+            x_in = trace_c.outputs[layer_index - 1][k] if layer_index else trace_c.x[k]
+            x_in = np.pad(x_in, ((0, 0), (pad, pad), (pad, pad)))
+            rr, cc = flat_locs[start + k] // wo, flat_locs[start + k] % wo
+            pat = np.array([x_in[:, r * stride:r * stride + kh, c * stride:c * stride + kw]
+                            for r, c in zip(rr, cc)])
+            y0.append(trace_u.outputs[layer_index][k][:, rr, cc].T - b0)
+            ystar.append(trace_c.outputs[layer_index][k][:, rr, cc].T - b_cur)
+            grad.append(grads.activations[layer_index][0][:, rr, cc].T)
+            patches.append(pat)
+            z.append(np.einsum("pjuv,ijuv->pij", pat, w0))
+            ids_out += [image] * n_loc
+            locs_out += list(zip(rr, cc))
+    return pruner.FeatureProbe(
+        layer_index=layer_index, y0=np.concatenate(y0), ystar=np.concatenate(ystar),
+        grad=np.concatenate(grad), z=np.concatenate(z),
+        patches=np.concatenate(patches),
+        image_ids=np.array(ids_out, dtype=np.int64),
+        locations=np.array(locs_out, dtype=np.int64).reshape(-1, 2),
+        exhaustive=ho * wo < config.num_locations)

@@ -163,7 +163,7 @@ def test_criterion_07_location_count_ordering(desk):
 
 def test_criterion_08_flops_accountant():
     single = SimpleNamespace(layers=(nn.conv2d(3, 8, 3, padding=1),),
-                             input_dims=(3, 16, 16))
+                             input_dims=(3, 16, 16), num_classes=0)
     exact = harness.flops_count(single).total == 110592
 
     spec = harness.desk_net()  # default 16-32-32-64 on 28x28

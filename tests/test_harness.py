@@ -37,13 +37,14 @@ def trained(spec, train_data, test_data):
 class TestFlopsCount:
     def test_single_conv_formula(self):
         spec = SimpleNamespace(layers=(nn.conv2d(3, 8, 3, padding=1),),
-                               input_dims=(3, 16, 16))
+                               input_dims=(3, 16, 16), num_classes=0)
         report = harness.flops_count(spec)
         assert report.per_layer == [110592]
         assert report.total == 110592
 
     def test_empty_spec_is_zero(self):
-        report = harness.flops_count(SimpleNamespace(layers=(), input_dims=(1, 8, 8)))
+        report = harness.flops_count(SimpleNamespace(layers=(), input_dims=(1, 8, 8),
+                                                     num_classes=0))
         assert report.total == 0
         assert report.per_layer == []
 
@@ -51,7 +52,7 @@ class TestFlopsCount:
         spec = SimpleNamespace(
             layers=(nn.conv2d(1, 4, 3, padding=1), nn.maxpool2d(2),
                     nn.conv2d(4, 6, 3, padding=0)),
-            input_dims=(1, 8, 8))
+            input_dims=(1, 8, 8), num_classes=0)
         # conv1: 2*4*1*9*8*8 = 4608; pool: 0; conv2 on 4x4 -> 2x2: 2*6*4*9*2*2 = 1728
         report = harness.flops_count(spec)
         assert report.per_layer == [4608, 0, 1728]
@@ -268,6 +269,23 @@ class TestRunExperiment:
         for row in result.rows:
             assert row.accuracy_finetuned_mean == pytest.approx(
                 sum(row.accuracy_finetuned) / len(row.accuracy_finetuned))
+
+    @pytest.mark.parametrize("cell,message", [
+        (harness.ExperimentCell("nope", 1), "unknown variant 'nope'"),
+        (harness.ExperimentCell("cpli", 1, num_locations=0),
+         "num_locations and probe_images must be positive"),
+    ])
+    def test_bad_cell_rejected_before_any_training(self, spec, train_data, test_data,
+                                                   tmp_path, monkeypatch, cell,
+                                                   message):
+        def no_training(*args, **kwargs):
+            raise AssertionError("a baseline was trained before the plan was checked")
+
+        monkeypatch.setattr(harness, "train", no_training)
+        plan = harness.ExperimentPlan(cells=(harness.ExperimentCell("cpli", 0), cell))
+        with pytest.raises(ValueError, match=message):
+            self.run(spec, train_data, test_data, plan, out_dir=tmp_path / "exp")
+        assert not (tmp_path / "exp").exists()
 
     def test_artifacts_written_and_deterministic(self, spec, train_data,
                                                  test_data, tmp_path):

@@ -172,6 +172,73 @@ class TestCheckpointFailsLoud:
                                                        "for layer 1"):
             model_io.load_checkpoint(path)
 
+    def write_header(self, path, header: bytes):
+        path.write_bytes(model_io.MAGIC + len(header).to_bytes(4, "little") + header)
+
+    def saved_header(self, tmp_path):
+        model_io.save_checkpoint(tmp_path / "good.ckpt", small_ckpt())
+        blob = (tmp_path / "good.ckpt").read_bytes()
+        hlen = int.from_bytes(blob[5:9], "little")
+        return json.loads(blob[9:9 + hlen])
+
+    def load_fails(self, path, pattern):
+        with pytest.raises(model_io.FormatError, match=pattern) as err:
+            model_io.load_checkpoint(path)
+        assert "\n" not in str(err.value)
+
+    def test_header_not_json(self, tmp_path):
+        path = tmp_path / "m.ckpt"
+        self.write_header(path, b"{not json")
+        self.load_fails(path, "header is not JSON")
+        self.write_header(path, b"\xff\xfe\x00")
+        self.load_fails(path, "header is not JSON")
+
+    def test_header_not_an_object(self, tmp_path):
+        path = tmp_path / "m.ckpt"
+        self.write_header(path, b"[1, 2, 3]")
+        self.load_fails(path, "header is a JSON list, not an object")
+
+    @pytest.mark.parametrize("key", ["spec", "tensors", "metadata"])
+    def test_header_missing_key(self, tmp_path, key):
+        header = self.saved_header(tmp_path)
+        del header[key]
+        path = tmp_path / "m.ckpt"
+        self.write_header(path, json.dumps(header).encode())
+        self.load_fails(path, f"header has no '{key}'")
+
+    @pytest.mark.parametrize("layer,pattern", [
+        ({"kind": "conv2d", "in_channels": 1}, "spec layer 0 has no 'out_channels'"),
+        ({"in_channels": 1}, "spec layer 0 has no 'kind'"),
+        ("conv2d", "spec layer 0: "),
+        ({"kind": "conv2d", "in_channels": 1, "out_channels": 0, "kernel": [3, 3],
+          "stride": 1, "padding": 1}, "spec layer 0: conv2d: channel counts"),
+        ({"kind": "pool"}, "spec layer 0: unknown layer kind 'pool'"),
+    ])
+    def test_malformed_spec_layer(self, tmp_path, layer, pattern):
+        header = self.saved_header(tmp_path)
+        header["spec"]["layers"][0] = layer
+        path = tmp_path / "m.ckpt"
+        self.write_header(path, json.dumps(header).encode())
+        self.load_fails(path, pattern)
+
+    def test_malformed_tensor_entry(self, tmp_path):
+        header = self.saved_header(tmp_path)
+        del header["tensors"][0]["shape"]
+        path = tmp_path / "m.ckpt"
+        self.write_header(path, json.dumps(header).encode())
+        self.load_fails(path, "tensor entry 0 is not a")
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_non_finite_tensor_named(self, tmp_path, value):
+        ckpt = small_ckpt()
+        tensors = all_tensors(ckpt)
+        weights = tensors[2][2].copy()
+        weights[1, 4] = value
+        tensors[2] = (3, "weights", weights)
+        path = tmp_path / "m.ckpt"
+        write_container(path, ckpt, tensors)
+        self.load_fails(path, "layer 3 weights holds a non-finite value")
+
     def test_in_memory_bias_shape_rejected(self):
         ckpt = small_ckpt()
         params = nn.copy_params(ckpt.params)

@@ -18,16 +18,8 @@ class TestConv2dForward:
     def test_identity_kernel(self):
         x = np.arange(9.0).reshape(1, 3, 3)
         w = np.ones((1, 1, 1, 1))
-        out = nn.conv2d_forward(x, w, bias=[0.0], mask=[1.0])
+        out = nn.conv2d_forward(x, w, bias=[0.0])
         np.testing.assert_array_equal(out, x)
-
-    def test_all_zero_mask_gives_bias(self, rng):
-        x = rng.normal(size=(3, 5, 5))
-        w = rng.normal(size=(4, 3, 3, 3))
-        b = rng.normal(size=4)
-        out = nn.conv2d_forward(x, w, b, mask=np.zeros(3), padding=1)
-        expect = np.broadcast_to(b[:, None, None], (4, 5, 5))
-        np.testing.assert_array_equal(out, expect)
 
     def test_matches_loop_oracle(self, rng):
         x = rng.normal(size=(3, 8, 8))
@@ -52,27 +44,11 @@ class TestConv2dForward:
         with pytest.raises(nn.ShapeError, match="input channels: expected 4, got 2"):
             nn.conv2d_forward(x, w, np.zeros(3))
 
-    def test_bad_bias_and_mask(self, rng):
+    def test_bad_bias_length(self, rng):
         x = rng.normal(size=(2, 5, 5))
         w = rng.normal(size=(3, 2, 3, 3))
         with pytest.raises(nn.ShapeError, match="bias length"):
             nn.conv2d_forward(x, w, np.zeros(2))
-        with pytest.raises(nn.ShapeError, match="mask length"):
-            nn.conv2d_forward(x, w, np.zeros(3), mask=np.ones(5))
-        with pytest.raises(ValueError, match="mask entries"):
-            nn.conv2d_forward(x, w, np.zeros(3), mask=np.array([0.5, 1.0]))
-
-    @given(st.integers(0, 2 ** 32 - 1), st.integers(1, 4))
-    def test_mask_linearity_exact(self, seed, c_in):
-        rng = np.random.default_rng(seed)
-        x = rng.normal(size=(c_in, 6, 6))
-        w = rng.normal(size=(2, c_in, 3, 3))
-        b = rng.normal(size=2)
-        mask = rng.integers(0, 2, size=c_in).astype(float)
-        masked = nn.conv2d_forward(x, w, b, mask=mask, padding=1)
-        zeroed = nn.conv2d_forward(x * mask[:, None, None], w, b,
-                                   mask=np.ones(c_in), padding=1)
-        np.testing.assert_array_equal(masked, zeroed)
 
 
 class TestNetworkSpec:
@@ -100,13 +76,36 @@ class TestNetworkSpec:
 
 
 class TestForwardCollect:
-    def test_all_ones_masks_are_noop(self, rng):
+    @pytest.mark.parametrize("seed", range(5))
+    def test_upto_matches_full_pass_prefix_bitwise(self, seed):
+        rng = np.random.default_rng(seed)
+        spec, params, x, _ = random_small_net(rng)
+        full = nn.forward_collect(spec, params, x)
+        num_layers = len(spec.layers)
+        for upto in range(num_layers):
+            part = nn.forward_collect(spec, params, x, upto=upto)
+            assert len(part.outputs) == upto + 1
+            for got, want in zip(part.outputs, full.outputs):
+                assert got.tobytes() == want.tobytes()
+            if upto == num_layers - 1:
+                assert part.logits.tobytes() == full.logits.tobytes()
+            else:
+                assert part.logits is None
+
+    def test_upto_out_of_range(self, rng):
         spec = tiny_spec()
-        params = nn.init_params(spec, 7)
-        x = rng.normal(size=(2, 2, 6, 6))
-        plain = nn.forward_collect(spec, params, x)
-        masked = nn.forward_collect(spec, params, x, masks={0: np.ones(2)})
-        np.testing.assert_array_equal(plain.logits, masked.logits)
+        params = nn.init_params(spec, 0)
+        x = rng.normal(size=(1, 2, 6, 6))
+        for upto in (-1, len(spec.layers)):
+            with pytest.raises(ValueError, match="upto must be in"):
+                nn.forward_collect(spec, params, x, upto=upto)
+
+    def test_backward_refuses_a_truncated_trace(self, rng):
+        spec = tiny_spec()
+        params = nn.init_params(spec, 0)
+        trace = nn.forward_collect(spec, params, rng.normal(size=(1, 2, 6, 6)), upto=2)
+        with pytest.raises(ValueError, match="trace stops before the head"):
+            nn.backward_collect(spec, params, trace, np.array([0]))
 
     def test_single_conv_matches_conv_forward(self, rng):
         spec = nn.NetworkSpec(
@@ -190,14 +189,6 @@ class TestBackwardCollect:
         x = rng.normal(size=(1, 1, 6, 6))
         labels = np.array([1])
         assert fd_max_rel_error(spec, params, x, labels) < 1e-4
-
-    def test_finite_differences_with_mask(self):
-        rng = np.random.default_rng(5)
-        spec = tiny_spec()
-        params = nn.init_params(spec, rng)
-        x = rng.normal(size=(1, 2, 6, 6))
-        masks = {0: np.array([1.0, 0.0])}
-        assert fd_max_rel_error(spec, params, x, np.array([0]), masks=masks) < 1e-4
 
     def test_label_out_of_range(self, rng):
         spec = tiny_spec()

@@ -1,9 +1,11 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
 from prunekit import harness, model_io, nn, pruner, solvers
 
-from _oracles import subset_residual
+from _oracles import extract_probes_loop, subset_residual
 
 
 SYNTH = dict(classes=10, dims=(1, 12, 12), noise=0.25, amplitude=0.8, jitter=1.2)
@@ -113,6 +115,63 @@ class TestExtractProbes:
         with pytest.raises(ValueError, match="not conv2d"):
             pruner.extract_probes(trained, trained.copy(), 1, synth_data,
                                   quick_config())
+
+
+def strided_net():
+    """Unpadded and stride-2 convs ahead of a padded one, on 12x12 inputs."""
+    spec = nn.NetworkSpec(
+        (nn.conv2d(1, 4, 3), nn.relu(), nn.conv2d(4, 5, 3, stride=2), nn.relu(),
+         nn.conv2d(5, 6, 3, padding=1), nn.relu(), nn.flatten(),
+         nn.linear(6 * 4 * 4, 10), nn.softmax_ce_head()),
+        (1, 12, 12), 10)
+    return (model_io.Checkpoint(spec, nn.init_params(spec, 0)),
+            model_io.Checkpoint(spec, nn.init_params(spec, 1)))
+
+
+def assert_probes_match(got, want):
+    for name in ("y0", "ystar", "z", "patches", "image_ids", "locations"):
+        a, b = getattr(got, name), getattr(want, name)
+        assert a.shape == b.shape and a.dtype == b.dtype, name
+        assert a.tobytes() == b.tobytes(), name
+    np.testing.assert_allclose(got.grad, want.grad, rtol=1e-12, atol=0)
+    assert got.exhaustive == want.exhaustive
+
+
+class TestExtractProbesMatchesLoop:
+    """The chunked probe pass against one batch-size-1 backward per image."""
+
+    def test_after_pruning_an_earlier_conv(self, trained, synth_data):
+        compressed, _ = pruner.prune_model(trained, synth_data,
+                                           quick_config(budgets={2: 3}))
+        li = trained.spec.conv_indices()[2]
+        cfg = quick_config()
+        assert_probes_match(
+            pruner.extract_probes(trained, compressed, li, synth_data, cfg),
+            extract_probes_loop(trained, compressed, li, synth_data, cfg))
+
+    def test_exhaustive_locations(self, trained, synth_data):
+        li = trained.spec.conv_indices()[3]  # 3x3 map
+        cfg = quick_config(num_locations=12)
+        probe = pruner.extract_probes(trained, trained.copy(), li, synth_data, cfg)
+        assert probe.exhaustive
+        assert_probes_match(
+            probe, extract_probes_loop(trained, trained.copy(), li, synth_data, cfg))
+
+    def test_chunk_size_not_a_power_of_two(self, trained, synth_data):
+        # 70 images: a 64-image chunk, then 6, whose gradient factor is inexact.
+        li = trained.spec.conv_indices()[1]
+        cfg = quick_config(probe_images=70, num_locations=3, seed=4)
+        assert_probes_match(
+            pruner.extract_probes(trained, trained.copy(), li, synth_data, cfg),
+            extract_probes_loop(trained, trained.copy(), li, synth_data, cfg))
+
+    @pytest.mark.parametrize("li", [2, 4])
+    def test_unpadded_and_strided_convs(self, synth_data, li):
+        uncompressed, compressed = strided_net()
+        cfg = quick_config(probe_images=20, num_locations=5)
+        assert_probes_match(
+            pruner.extract_probes(uncompressed, compressed, li, synth_data, cfg),
+            extract_probes_loop(uncompressed, compressed, li, synth_data, cfg))
 
 
 def hand_probe():
@@ -346,6 +405,18 @@ class TestPruneModel:
             if p is not None:
                 assert p.weights.tobytes() == q.weights.tobytes()
 
+    def test_same_supports_as_per_image_probes(self, trained, synth_data,
+                                               monkeypatch):
+        cfg = quick_config(flops_target=2.0)
+        fast, fast_traces = pruner.prune_model(trained, synth_data, cfg)
+        monkeypatch.setattr(pruner, "extract_probes", extract_probes_loop)
+        slow, slow_traces = pruner.prune_model(trained, synth_data, cfg)
+        assert [t.support for t in fast_traces] == [t.support for t in slow_traces]
+        for p, q in zip(fast.params, slow.params):
+            if p is not None:
+                assert p.weights.tobytes() == q.weights.tobytes()
+                assert p.bias.tobytes() == q.bias.tobytes()
+
     def test_stage_failure_carries_traces_so_far(self, trained, synth_data,
                                                  monkeypatch):
         calls = {"n": 0}
@@ -430,7 +501,46 @@ class TestTraceFiles:
         path = tmp_path / "run.trace"
         pruner.write_traces(path, [t])
         assert "\t-\t" in path.read_text()
+        assert path.read_text().splitlines()[1].endswith("\t1")
         assert pruner.read_traces(path) == [t]
+
+    def test_unconverged_solve_writes_zero(self, tmp_path, trained, synth_data):
+        _, traces = pruner.prune_model(trained, synth_data,
+                                       quick_config(flops_target=2.0, max_sweeps=1))
+        path = tmp_path / "run.trace"
+        pruner.write_traces(path, traces)
+        header, first = path.read_text().splitlines()[:2]
+        assert header.split("\t")[-1] == "converged"
+        assert first.split("\t")[-1] == "0"
+        assert [t.converged for t in pruner.read_traces(path)] == [False] * 3
+
+    def test_converged_round_trip(self, tmp_path):
+        rows = [pruner.PruneTrace(layer_index=3, conv_ordinal=2, variant="cpli",
+                                  budget=2, lambda_final=0.5, support=(0, 4),
+                                  residual_before=1.5, residual_after=0.5,
+                                  damping=0.0, converged=flag)
+                for flag in (True, False)]
+        path = tmp_path / "run.trace"
+        pruner.write_traces(path, rows)
+        assert [line.split("\t")[-1] for line in path.read_text().splitlines()] \
+            == ["converged", "1", "0"]
+        assert pruner.read_traces(path) == rows
+
+    def test_reads_files_without_the_converged_column(self, tmp_path):
+        row = pruner.PruneTrace(layer_index=3, conv_ordinal=2, variant="cpli",
+                                budget=2, lambda_final=0.5, support=(0, 4),
+                                residual_before=1.5, residual_after=0.5,
+                                damping=0.0, converged=False)
+        path = tmp_path / "run.trace"
+        pruner.write_traces(path, [row])
+        old_format = ["\t".join(line.split("\t")[:-1])
+                      for line in path.read_text().splitlines()]
+        path.write_text("\n".join(old_format) + "\n")
+        assert pruner.read_traces(path) == [dataclasses.replace(row, converged=True)]
+        path.write_text(old_format[0] + "\n" + path.read_text().splitlines()[1]
+                        + "\t0\n")
+        with pytest.raises(model_io.FormatError, match="expected 15 columns, got 16"):
+            pruner.read_traces(path)
 
     def test_header_required(self, tmp_path):
         path = tmp_path / "run.trace"

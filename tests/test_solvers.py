@@ -1,11 +1,14 @@
+import warnings
+
 import numpy as np
 import pytest
+import scipy.linalg
 from hypothesis import given, settings, strategies as st
 
 from prunekit import solvers
 
-from _oracles import (best_subset, kkt_violation, lasso_objective, lasso_sweeps,
-                      subset_residual)
+from _oracles import (best_subset, greedy_backfill, kkt_violation, lasso_objective,
+                      lasso_sweeps, subset_residual)
 
 
 def random_system(rng, rows=30, cols=6, sparsity=3, noise=0.1, scale_cols=False):
@@ -269,6 +272,61 @@ class TestLambdaSearch:
             scaled = solvers.WeightedSystem(c * sys_.a, c * sys_.b)
             res_c = solvers.lambda_search(scaled, budget=3)
             assert res_c.support == res.support
+
+
+class TestBackfill:
+    """Greedy backfill on the normal equations against lstsq over A itself."""
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_matches_lstsq_over_a_with_singular_restricted_gram(self, seed):
+        rng = np.random.default_rng(seed)
+        a = rng.normal(size=(30, 8)) * rng.uniform(0.2, 3.0, size=8)
+        a[:, 5] = 2.0 * a[:, 2]  # duplicates up to a power-of-two scale, so
+        a[:, 7] = 4.0 * a[:, 3]  # G_SS is exactly singular once both are in S
+        a[:, 6] = 0.0
+        b = a @ rng.normal(size=8) + 0.3 * rng.normal(size=30)
+        sys_ = solvers.WeightedSystem(a, b)
+        # A floor above lambda_max leaves beta = 0, so backfill picks every column.
+        floor = 4.0 * np.abs(sys_.corr()).max()
+        # Budget 6 is left out: the sixth pick is between columns 2 and 3,
+        # which lie in span(A_S) once 5 and 7 are in, so both scores are
+        # rounding noise and either pick is exact.
+        for budget in (1, 2, 3, 4, 5, 7, 8):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error", scipy.linalg.LinAlgWarning)
+                res = solvers.lambda_search(sys_, budget, lambda_floor=floor)
+            assert not res.beta.any()
+            assert res.support == greedy_backfill(a, b, [], min(budget, 7))
+            assert res.budget_warning == (budget == 8)
+            want = subset_residual(a, b, res.support)
+            assert res.residual_norm == pytest.approx(want, rel=1e-9)
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_matches_lstsq_over_a_on_nearly_collinear_columns(self, seed):
+        # Column 5 is column 2 plus a 1e-9 perturbation: cond(A_S) is about
+        # 1e9 once both are in S, so cond(G_SS) is about 1e18 and the normal
+        # equations alone would drop the direction that tells them apart.
+        rng = np.random.default_rng(seed)
+        a = rng.normal(size=(30, 8)) * rng.uniform(0.2, 3.0, size=8)
+        a[:, 5] = a[:, 2] + 1e-9 * rng.normal(size=30)
+        b = a @ rng.normal(size=8) + 0.3 * rng.normal(size=30)
+        sys_ = solvers.WeightedSystem(a, b)
+        floor = 4.0 * np.abs(sys_.corr()).max()
+        for budget in range(1, 9):
+            res = solvers.lambda_search(sys_, budget, lambda_floor=floor)
+            assert res.support == greedy_backfill(a, b, [], budget)
+            # The fit weighs the near-duplicate pair by about +-1e7, so either
+            # way of forming b - A_S w cancels to about 1e-7 relative.
+            want = subset_residual(a, b, res.support)
+            assert res.residual_norm == pytest.approx(want, rel=1e-6)
+
+    def test_lasso_support_is_kept_and_extended(self, rng):
+        sys_ = random_system(rng, rows=40, cols=7, sparsity=2, noise=0.05)
+        lam = solvers.lambda_search(sys_, budget=1).lambda_final
+        res = solvers.lambda_search(sys_, budget=5, lambda_floor=lam)
+        start = np.flatnonzero(res.beta).tolist()
+        assert 1 <= len(start) < 5
+        assert res.support == greedy_backfill(sys_.a, sys_.b, start, 5)
 
 
 class TestLeastSquaresRefit:
