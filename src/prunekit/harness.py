@@ -143,8 +143,7 @@ def evaluate(ckpt: model_io.Checkpoint, data: model_io.DatasetHandle,
     correct = 0
     for start in range(0, len(data), batch_size):
         x = data.images[start:start + batch_size]
-        trace = nn.forward_collect(ckpt.spec, ckpt.params, x)
-        pred = trace.logits.argmax(axis=1)
+        pred = nn.predict(ckpt.spec, ckpt.params, x).argmax(axis=1)
         correct += int((pred == data.labels[start:start + batch_size]).sum())
     return correct / len(data)
 

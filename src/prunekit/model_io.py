@@ -252,6 +252,9 @@ class DatasetHandle:
             raise ValueError(f"images must be (n, c, h, w), got {self.images.shape}")
         if len(self.images) != len(self.labels):
             raise ValueError(f"{len(self.images)} images but {len(self.labels)} labels")
+        if not np.isfinite(self.images).all():
+            bad = np.isfinite(self.images).reshape(len(self.images), -1).all(axis=1)
+            raise ValueError(f"image {int(np.argmin(bad))} has a non-finite pixel")
         if len(self.labels) and self.num_classes > 0:
             if self.labels.min() < 0 or self.labels.max() >= self.num_classes:
                 raise ValueError(f"labels outside [0, {self.num_classes})")

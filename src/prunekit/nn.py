@@ -218,50 +218,55 @@ def copy_params(params: list[LayerParams | None]) -> list[LayerParams | None]:
 # Convolution
 # ---------------------------------------------------------------------------
 
-def _conv_windows(x: np.ndarray, kh: int, kw: int, stride: int, padding: int):
-    """Padded input and its strided (n, c, ho, wo, kh, kw) window view."""
+def _conv_forward(x: np.ndarray, weights: np.ndarray, bias: np.ndarray | None,
+                  stride: int, padding: int):
+    """Output and im2col matrix of a batched conv.
+
+    `cols` has one row per output position in (n, ho, wo) order and one
+    column per (c_in, kh, kw) tap; the backward reuses it for dW.
+    """
+    c_out, c_in, kh, kw = weights.shape
+    n, _, h, w = x.shape
     if padding:
-        xp = np.pad(x, ((0, 0), (0, 0), (padding, padding), (padding, padding)))
+        xp = np.zeros((n, c_in, h + 2 * padding, w + 2 * padding))
+        xp[:, :, padding:padding + h, padding:padding + w] = x
     else:
         xp = x
     hp, wp = xp.shape[2], xp.shape[3]
     if kh > hp or kw > wp:
         raise ShapeError(f"kernel {kh}x{kw} larger than padded input {hp}x{wp}")
     win = sliding_window_view(xp, (kh, kw), axis=(2, 3))[:, :, ::stride, ::stride]
-    return xp, win
-
-
-def _conv_forward(x: np.ndarray, weights: np.ndarray, bias: np.ndarray | None,
-                  stride: int, padding: int) -> np.ndarray:
-    c_out, c_in, kh, kw = weights.shape
-    _, win = _conv_windows(x, kh, kw, stride, padding)
-    n, _, ho, wo = win.shape[:4]
+    ho, wo = win.shape[2], win.shape[3]
     cols = win.transpose(0, 2, 3, 1, 4, 5).reshape(n * ho * wo, c_in * kh * kw)
     y = cols @ weights.reshape(c_out, -1).T
     if bias is not None:
         y = y + bias
-    return np.ascontiguousarray(y.reshape(n, ho, wo, c_out).transpose(0, 3, 1, 2))
+    return np.ascontiguousarray(y.reshape(n, ho, wo, c_out).transpose(0, 3, 1, 2)), cols
 
 
-def _conv_backward(x: np.ndarray, weights: np.ndarray, stride: int, padding: int,
-                   d_out: np.ndarray):
+def _conv_backward(cols: np.ndarray, x_shape, weights: np.ndarray, stride: int,
+                   padding: int, d_out: np.ndarray):
+    """(dx, dw, db) of a conv from its forward's im2col matrix.
+
+    dx is accumulated channels-last, one strided add per kernel offset in
+    (u, v) order, and returned as an (n, c_in, h, w) view of that buffer.
+    """
     c_out, c_in, kh, kw = weights.shape
-    n, _, h, w = x.shape
-    xp, win = _conv_windows(x, kh, kw, stride, padding)
+    n, _, h, w = x_shape
     ho, wo = d_out.shape[2], d_out.shape[3]
 
-    dw = np.tensordot(d_out, win, axes=((0, 2, 3), (0, 2, 3)))
+    dw = np.dot(d_out.transpose(1, 0, 2, 3).reshape(c_out, -1), cols).reshape(weights.shape)
     db = d_out.sum(axis=(0, 2, 3))
 
     dmat = d_out.transpose(0, 2, 3, 1).reshape(n * ho * wo, c_out)
     dcols = (dmat @ weights.reshape(c_out, -1)).reshape(n, ho, wo, c_in, kh, kw)
-    dxp = np.zeros_like(xp)
+    dxp = np.zeros((n, h + 2 * padding, w + 2 * padding, c_in))
     for u in range(kh):
         for v in range(kw):
-            dxp[:, :, u:u + stride * ho:stride, v:v + stride * wo:stride] += \
-                dcols[:, :, :, :, u, v].transpose(0, 3, 1, 2)
-    dx = dxp[:, :, padding:padding + h, padding:padding + w] if padding else dxp
-    return dx, dw, db
+            dxp[:, u:u + stride * ho:stride, v:v + stride * wo:stride] += \
+                dcols[:, :, :, :, u, v]
+    dx = dxp[:, padding:padding + h, padding:padding + w]
+    return dx.transpose(0, 3, 1, 2), dw, db
 
 
 def conv2d_forward(x, weights, bias, stride: int = 1, padding: int = 0) -> np.ndarray:
@@ -285,7 +290,7 @@ def conv2d_forward(x, weights, bias, stride: int = 1, padding: int = 0) -> np.nd
     bias = as_tensor(bias)
     if bias.shape != (c_out,):
         raise ShapeError(f"bias length: expected {c_out}, got {bias.shape}")
-    y = _conv_forward(x, weights, bias, stride, padding)
+    y, _ = _conv_forward(x, weights, bias, stride, padding)
     return y[0] if single else y
 
 
@@ -376,12 +381,14 @@ class ForwardTrace:
 
     outputs[i] is the (batched) output of layers[i]; the head's entry holds
     softmax probabilities and `logits` is the head's input.  A pass that
-    stopped early has fewer outputs and no logits.
+    stopped early has fewer outputs and no logits.  cols[i] is conv layer
+    i's im2col matrix, kept for the backward.
     """
 
     x: np.ndarray
     outputs: list[np.ndarray]
     logits: np.ndarray | None
+    cols: dict[int, np.ndarray]
 
 
 @dataclass
@@ -400,20 +407,40 @@ class Gradients:
     loss: float
 
 
-def forward_collect(spec: NetworkSpec, params: list[LayerParams | None], x,
-                    upto: int | None = None) -> ForwardTrace:
-    """Run the network, keeping every activation.
-
-    `upto` is the index of the last layer to run (default: all of them); the
-    trace then holds outputs[0..upto], and `logits` is None unless the head
-    was reached.  Everything computed is bit-identical to the full pass.
-    """
+def _input_batch(spec: NetworkSpec, x) -> np.ndarray:
     x = as_tensor(x)
     if x.ndim == 3:
         x = x[None]
     if x.shape[1:] != tuple(spec.input_dims):
         raise ShapeError(f"input dims: expected {tuple(spec.input_dims)}, "
                          f"got {x.shape[1:]}")
+    return x
+
+
+def _layer_forward(layer: LayerSpec, p: LayerParams | None, x: np.ndarray):
+    """One layer's output and, for a conv, its im2col matrix (else None)."""
+    if layer.kind == CONV2D:
+        return _conv_forward(x, p.weights, p.bias, layer.stride, layer.padding)
+    if layer.kind == RELU:
+        return relu_forward(x), None
+    if layer.kind == MAXPOOL2D:
+        return maxpool2d_forward(x, layer.window, layer.stride), None
+    if layer.kind == FLATTEN:
+        return x.reshape(x.shape[0], -1), None
+    if layer.kind == LINEAR:
+        return linear_forward(x, p.weights, p.bias), None
+    return softmax(x), None
+
+
+def forward_collect(spec: NetworkSpec, params: list[LayerParams | None], x,
+                    upto: int | None = None) -> ForwardTrace:
+    """Run the network, keeping every activation and every conv's im2col matrix.
+
+    `upto` is the index of the last layer to run (default: all of them); the
+    trace then holds outputs[0..upto], and `logits` is None unless the head
+    was reached.  Everything computed is bit-identical to the full pass.
+    """
+    x = _input_batch(spec, x)
     num_layers = len(spec.layers)
     if upto is None:
         upto = num_layers - 1
@@ -421,25 +448,25 @@ def forward_collect(spec: NetworkSpec, params: list[LayerParams | None], x,
         raise ValueError(f"upto must be in [0, {num_layers}), got {upto}")
     cur = x
     outputs: list[np.ndarray] = []
+    cols: dict[int, np.ndarray] = {}
     logits = None
     for i, layer in enumerate(spec.layers[:upto + 1]):
-        if layer.kind == CONV2D:
-            p = params[i]
-            cur = _conv_forward(cur, p.weights, p.bias, layer.stride, layer.padding)
-        elif layer.kind == RELU:
-            cur = relu_forward(cur)
-        elif layer.kind == MAXPOOL2D:
-            cur = maxpool2d_forward(cur, layer.window, layer.stride)
-        elif layer.kind == FLATTEN:
-            cur = cur.reshape(cur.shape[0], -1)
-        elif layer.kind == LINEAR:
-            p = params[i]
-            cur = linear_forward(cur, p.weights, p.bias)
-        elif layer.kind == SOFTMAX_CE_HEAD:
+        if layer.kind == SOFTMAX_CE_HEAD:
             logits = cur
-            cur = softmax(cur)
+        cur, c = _layer_forward(layer, params[i], cur)
+        if c is not None:
+            cols[i] = c
         outputs.append(cur)
-    return ForwardTrace(x=x, outputs=outputs, logits=logits)
+    return ForwardTrace(x=x, outputs=outputs, logits=logits, cols=cols)
+
+
+def predict(spec: NetworkSpec, params: list[LayerParams | None], x) -> np.ndarray:
+    """Logits of a full forward that keeps no activations; bit-identical to
+    `forward_collect(spec, params, x).logits`."""
+    cur = _input_batch(spec, x)
+    for layer, p in zip(spec.layers[:-1], params):
+        cur = _layer_forward(layer, p, cur)[0]
+    return cur
 
 
 def backward_collect(spec: NetworkSpec, params: list[LayerParams | None],
@@ -479,8 +506,8 @@ def backward_collect(spec: NetworkSpec, params: list[LayerParams | None],
         layer = spec.layers[i]
         x_in = trace.outputs[i - 1] if i > 0 else trace.x
         if layer.kind == CONV2D:
-            dx, dw, db = _conv_backward(x_in, params[i].weights, layer.stride,
-                                        layer.padding, grad)
+            dx, dw, db = _conv_backward(trace.cols[i], x_in.shape, params[i].weights,
+                                        layer.stride, layer.padding, grad)
             weight_grads[i] = LayerParams(dw, db)
             grad = dx
         elif layer.kind == RELU:

@@ -18,7 +18,6 @@ from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 from . import model_io, nn, solvers
 
@@ -106,15 +105,17 @@ def extract_probes(uncompressed: model_io.Checkpoint, compressed: model_io.Check
     Draws `probe_images` images and `num_locations` spatial positions per
     image (without replacement; all positions when the map is smaller, with
     the `exhaustive` flag set).  y0 comes from the uncompressed model's
-    forward, run only up to the probed layer; ystar, the loss gradient, the
-    input patches and the contributions z come from the current compressed
-    model, with z evaluated against the uncompressed layer weights.
+    forward, run only up to the probed layer, or from the compressed forward
+    when both models are bit-equal up to it; ystar, the loss gradient, the
+    input patches (rows of the probed conv's im2col matrix) and the
+    contributions z come from the current compressed model, with z evaluated
+    against the uncompressed layer weights.
 
-    Images are processed in chunks of up to 64 with one forward pair and one
-    backward each.  The backward stops at the probed layer's output, the only
-    gradient needed.  Mean cross-entropy is a sum of per-image terms and no
-    layer couples images, so the chunk gradient times the chunk size is each
-    image's own batch-size-1 gradient.
+    Images are processed in chunks of up to 64 with at most two forwards and
+    one backward each.  The backward stops at the probed layer's output, the
+    only gradient needed.  Mean cross-entropy is a sum of per-image terms and
+    no layer couples images, so the chunk gradient times the chunk size is
+    each image's own batch-size-1 gradient.
     """
     layer = compressed.spec.layers[layer_index]
     if layer.kind != nn.CONV2D:
@@ -136,7 +137,7 @@ def extract_probes(uncompressed: model_io.Checkpoint, compressed: model_io.Check
     w0 = uncompressed.params[layer_index].weights
     b0_unc = uncompressed.params[layer_index].bias
     b_cur = compressed.params[layer_index].bias
-    pad = layer.padding
+    same_prefix = _same_prefix(uncompressed, compressed, layer_index)
 
     total = n_images * n_loc
     y0 = np.empty((total, c_out))
@@ -149,9 +150,9 @@ def extract_probes(uncompressed: model_io.Checkpoint, compressed: model_io.Check
         ids = image_ids[start:start + _PROBE_CHUNK]
         n = len(ids)
         batch = dataset.images[ids]
-        trace_u = nn.forward_collect(uncompressed.spec, uncompressed.params, batch,
-                                     upto=layer_index)
         trace_c = nn.forward_collect(compressed.spec, compressed.params, batch)
+        trace_u = trace_c if same_prefix else nn.forward_collect(
+            uncompressed.spec, uncompressed.params, batch, upto=layer_index)
         grads = nn.backward_collect(compressed.spec, compressed.params, trace_c,
                                     dataset.labels[ids], stop=layer_index + 1)
         # Fancy indexing puts the (image, location) axes first: (n, n_loc, ...).
@@ -161,12 +162,8 @@ def extract_probes(uncompressed: model_io.Checkpoint, compressed: model_io.Check
         y0[sl] = (trace_u.outputs[layer_index][k, :, rr, cc] - b0_unc).reshape(-1, c_out)
         ystar[sl] = (trace_c.outputs[layer_index][k, :, rr, cc] - b_cur).reshape(-1, c_out)
         grad[sl] = (grads.activations[layer_index][k, :, rr, cc] * n).reshape(-1, c_out)
-        x_in = trace_c.outputs[layer_index - 1] if layer_index > 0 else trace_c.x
-        if pad:
-            x_in = np.pad(x_in, ((0, 0), (0, 0), (pad, pad), (pad, pad)))
-        windows = sliding_window_view(x_in, (kh, kw), axis=(2, 3))[
-            :, :, ::layer.stride, ::layer.stride]
-        pat = windows[k, :, rr, cc].reshape(-1, c_in, kh, kw)
+        # im2col rows run over (image, output row, output column).
+        pat = trace_c.cols[layer_index][(k * ho + rr) * wo + cc].reshape(-1, c_in, kh, kw)
         patches[sl] = pat
         z[sl] = np.einsum("pjuv,ijuv->pij", pat, w0)
 
@@ -175,6 +172,18 @@ def extract_probes(uncompressed: model_io.Checkpoint, compressed: model_io.Check
                         image_ids=np.repeat(image_ids, n_loc),
                         locations=np.stack([rows.ravel(), cols.ravel()], axis=1),
                         exhaustive=exhaustive)
+
+
+def _same_prefix(a: model_io.Checkpoint, b: model_io.Checkpoint, upto: int) -> bool:
+    """True when layers 0..upto have equal specs and bit-equal parameters."""
+    if (a.spec.input_dims != b.spec.input_dims
+            or a.spec.layers[:upto + 1] != b.spec.layers[:upto + 1]):
+        return False
+    for pa, pb in zip(a.params[:upto + 1], b.params[:upto + 1]):
+        if pa is not None and (pa.weights.tobytes() != pb.weights.tobytes()
+                               or pa.bias.tobytes() != pb.bias.tobytes()):
+            return False
+    return True
 
 
 def build_weighted_system(probe: FeatureProbe, variant: str,

@@ -8,6 +8,7 @@ code with the package internals it verifies.
 from itertools import combinations
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from prunekit import nn, pruner
 
@@ -31,6 +32,27 @@ def conv2d_loop(x, weights, bias, stride=1, padding=0):
                             acc += xp[j, p * stride + u, q * stride + v] * weights[i, j, u, v]
                 out[i, p, q] = acc
     return out
+
+
+def conv_backward_reference(x, weights, stride, padding, d_out):
+    """(dx, dw, db) of a batched conv: `np.pad`, a fresh window view, a
+    `tensordot` for dw and an NCHW scatter for dx, in the library's (u, v)
+    order, so every byte should match it."""
+    c_out, c_in, kh, kw = weights.shape
+    n, _, h, w = x.shape
+    xp = np.pad(x, ((0, 0), (0, 0), (padding, padding), (padding, padding)))
+    win = sliding_window_view(xp, (kh, kw), axis=(2, 3))[:, :, ::stride, ::stride]
+    ho, wo = d_out.shape[2], d_out.shape[3]
+    dw = np.tensordot(d_out, win, axes=((0, 2, 3), (0, 2, 3)))
+    db = d_out.sum(axis=(0, 2, 3))
+    dmat = d_out.transpose(0, 2, 3, 1).reshape(n * ho * wo, c_out)
+    dcols = (dmat @ weights.reshape(c_out, -1)).reshape(n, ho, wo, c_in, kh, kw)
+    dxp = np.zeros_like(xp)
+    for u in range(kh):
+        for v in range(kw):
+            dxp[:, :, u:u + stride * ho:stride, v:v + stride * wo:stride] += \
+                dcols[:, :, :, :, u, v].transpose(0, 3, 1, 2)
+    return dxp[:, :, padding:padding + h, padding:padding + w], dw, db
 
 
 def loss_of(spec, params, x, labels):
@@ -264,9 +286,12 @@ def extract_probes_loop(uncompressed, compressed, layer_index, dataset, config):
         trace_c = nn.forward_collect(compressed.spec, compressed.params,
                                      dataset.images[ids])
         for k, image in enumerate(ids):
-            single = nn.ForwardTrace(x=trace_c.x[k:k + 1],
-                                     outputs=[o[k:k + 1] for o in trace_c.outputs],
-                                     logits=trace_c.logits[k:k + 1])
+            # im2col rows run over (image, output row, output column).
+            single = nn.ForwardTrace(
+                x=trace_c.x[k:k + 1], outputs=[o[k:k + 1] for o in trace_c.outputs],
+                logits=trace_c.logits[k:k + 1],
+                cols={i: c.reshape(len(ids), -1, c.shape[1])[k]
+                      for i, c in trace_c.cols.items()})
             grads = nn.backward_collect(compressed.spec, compressed.params, single,
                                         dataset.labels[image:image + 1])
             x_in = trace_c.outputs[layer_index - 1][k] if layer_index else trace_c.x[k]

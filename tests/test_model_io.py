@@ -358,6 +358,14 @@ class TestDatasetHandle:
         with pytest.raises(ValueError, match=r"labels outside \[0, 2\)"):
             model_io.DatasetHandle(np.zeros((2, 1, 2, 2)), np.array([0, 5]), 2)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_image_named(self, bad):
+        images = np.zeros((4, 1, 2, 2))
+        images[2, 0, 1, 0] = bad
+        images[3, 0, 0, 0] = bad
+        with pytest.raises(ValueError, match="^image 2 has a non-finite pixel$"):
+            model_io.DatasetHandle(images, np.zeros(4, dtype=int), 2)
+
 
 class TestConfigFiles:
     def test_round_trip(self, tmp_path):

@@ -2,9 +2,10 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from prunekit import nn
+from prunekit import harness, model_io, nn
 
-from _oracles import conv2d_loop, fd_max_rel_error, maxpool_loop, random_small_net
+from _oracles import (conv2d_loop, conv_backward_reference, fd_max_rel_error,
+                      maxpool_loop, random_small_net)
 
 
 def tiny_spec():
@@ -49,6 +50,41 @@ class TestConv2dForward:
         w = rng.normal(size=(3, 2, 3, 3))
         with pytest.raises(nn.ShapeError, match="bias length"):
             nn.conv2d_forward(x, w, np.zeros(2))
+
+
+class TestConv2dBackward:
+    @given(st.integers(0, 2 ** 32 - 1), st.sampled_from([1, 32]), st.sampled_from([1, 2]),
+           st.integers(0, 2), st.sampled_from([(1, 1), (3, 2)]))
+    def test_matches_reference_bitwise(self, seed, n, stride, padding, kernel):
+        rng = np.random.default_rng(seed)
+        kh, kw = kernel
+        c_in, c_out = int(rng.integers(1, 4)), int(rng.integers(1, 4))
+        h, w = int(rng.integers(kh, 9)), int(rng.integers(kw, 9))
+        x = rng.normal(size=(n, c_in, h, w))
+        weights = rng.normal(size=(c_out, c_in, kh, kw))
+        y, cols = nn._conv_forward(x, weights, np.zeros(c_out), stride, padding)
+        d_out = rng.normal(size=y.shape)
+        got = nn._conv_backward(cols, x.shape, weights, stride, padding, d_out)
+        want = conv_backward_reference(x, weights, stride, padding, d_out)
+        for g, r in zip(got, want):
+            assert g.shape == r.shape and g.tobytes() == r.tobytes()
+
+    def test_training_matches_reference_backward_bitwise(self, monkeypatch, tmp_path):
+        data = model_io.synth_dataset(3, 96, 10, dims=(1, 12, 12))
+        spec = harness.desk_net(input_dims=(1, 12, 12), widths=(6, 8, 8, 10))
+        cfg = harness.TrainConfig(epochs=2, batch_size=32, lr=0.05)
+        model_io.save_checkpoint(tmp_path / "fast.ckpt", harness.train(spec, data, cfg))
+
+        # The trace's cols slot carries each conv's input for the reference.
+        forward = nn._conv_forward
+        monkeypatch.setattr(nn, "_conv_forward", lambda x, w, b, s, p: (
+            forward(x, w, b, s, p)[0], x))
+        monkeypatch.setattr(nn, "_conv_backward", lambda x, x_shape, w, s, p, d: (
+            conv_backward_reference(x, w, s, p, d)))
+        model_io.save_checkpoint(tmp_path / "reference.ckpt",
+                                 harness.train(spec, data, cfg))
+        assert ((tmp_path / "fast.ckpt").read_bytes()
+                == (tmp_path / "reference.ckpt").read_bytes())
 
 
 class TestNetworkSpec:
@@ -139,6 +175,21 @@ class TestForwardCollect:
             elif layer.kind == nn.SOFTMAX_CE_HEAD:
                 cur = nn.softmax(cur)
             np.testing.assert_array_equal(trace.outputs[i], cur)
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_predict_matches_trace_logits_bitwise(self, seed):
+        rng = np.random.default_rng(seed)
+        spec, params, x, _ = random_small_net(rng)
+        got = nn.predict(spec, params, x)
+        assert got.tobytes() == nn.forward_collect(spec, params, x).logits.tobytes()
+
+    def test_trace_keeps_each_conv_im2col(self, rng):
+        spec = tiny_spec()
+        params = nn.init_params(spec, 4)
+        trace = nn.forward_collect(spec, params, rng.normal(size=(2, 2, 6, 6)))
+        assert list(trace.cols) == spec.conv_indices()
+        # One row per output position, one column per (c_in, kh, kw) tap.
+        assert trace.cols[0].shape == (2 * 6 * 6, 2 * 3 * 3)
 
     def test_input_dim_mismatch(self, rng):
         spec = tiny_spec()
