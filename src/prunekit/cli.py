@@ -312,7 +312,8 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (ValueError, OSError, KeyError, np.linalg.LinAlgError) as exc:
+    except (ValueError, OSError, KeyError, FloatingPointError,
+            np.linalg.LinAlgError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

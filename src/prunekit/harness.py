@@ -98,7 +98,9 @@ def train(spec: nn.NetworkSpec, data: model_io.DatasetHandle, cfg: TrainConfig,
     """SGD with momentum over shuffled mini-batches; step lr decay.
 
     With `init` the run resumes from those weights (fine-tuning); zero
-    epochs returns the starting point unchanged.
+    epochs returns the starting point unchanged.  A minibatch whose loss is
+    not finite stops the run with a `FloatingPointError` naming its epoch
+    and batch (both 1-based).
     """
     if len(data) == 0:
         raise ValueError("cannot train on an empty dataset")
@@ -113,6 +115,10 @@ def train(spec: nn.NetworkSpec, data: model_io.DatasetHandle, cfg: TrainConfig,
             idx = perm[start:start + cfg.batch_size]
             trace = nn.forward_collect(spec, params, data.images[idx])
             grads = nn.backward_collect(spec, params, trace, data.labels[idx])
+            if not np.isfinite(grads.loss):
+                raise FloatingPointError(
+                    f"training diverged: loss {grads.loss} at epoch {epoch + 1}, "
+                    f"batch {start // cfg.batch_size + 1}")
             params, velocity = nn.sgd_step(params, grads.weights, lr,
                                            momentum=cfg.momentum,
                                            nesterov=cfg.nesterov,

@@ -14,7 +14,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 DTYPE = np.float64
 
@@ -231,13 +230,16 @@ def _conv_forward(x: np.ndarray, weights: np.ndarray, bias: np.ndarray | None,
         xp = np.zeros((n, c_in, h + 2 * padding, w + 2 * padding))
         xp[:, :, padding:padding + h, padding:padding + w] = x
     else:
-        xp = x
+        xp = np.ascontiguousarray(x)
     hp, wp = xp.shape[2], xp.shape[3]
     if kh > hp or kw > wp:
         raise ShapeError(f"kernel {kh}x{kw} larger than padded input {hp}x{wp}")
-    win = sliding_window_view(xp, (kh, kw), axis=(2, 3))[:, :, ::stride, ::stride]
-    ho, wo = win.shape[2], win.shape[3]
-    cols = win.transpose(0, 2, 3, 1, 4, 5).reshape(n * ho * wo, c_in * kh * kw)
+    ho, wo = (hp - kh) // stride + 1, (wp - kw) // stride + 1
+    # A strided view of xp indexed (n, ho, wo, c_in, kh, kw); the reshape copies it.
+    s0, s1, s2, s3 = xp.strides
+    win = np.ndarray((n, ho, wo, c_in, kh, kw), xp.dtype, xp, 0,
+                     (s0, s2 * stride, s3 * stride, s1, s2, s3))
+    cols = win.reshape(n * ho * wo, c_in * kh * kw)
     y = cols @ weights.reshape(c_out, -1).T
     if bias is not None:
         y = y + bias
@@ -306,11 +308,6 @@ def relu_backward(y_out: np.ndarray, d_out: np.ndarray) -> np.ndarray:
     return d_out * (y_out > 0.0)
 
 
-def _pool_windows(x: np.ndarray, wh: int, ww: int, stride: int):
-    win = sliding_window_view(x, (wh, ww), axis=(2, 3))[:, :, ::stride, ::stride]
-    return win
-
-
 def maxpool2d_forward(x: np.ndarray, window=(2, 2), stride: int = 2) -> np.ndarray:
     """Window maxima, as an elementwise maximum over one strided view per offset."""
     wh, ww = _pair(window)
@@ -328,20 +325,33 @@ def maxpool2d_forward(x: np.ndarray, window=(2, 2), stride: int = 2) -> np.ndarr
     return out
 
 
-def maxpool2d_backward(x: np.ndarray, window, stride: int,
+def maxpool2d_backward(x: np.ndarray, y: np.ndarray, window, stride: int,
                        d_out: np.ndarray) -> np.ndarray:
-    """Gradient routed to each window's max; ties go to the lowest flat index."""
+    """Gradient routed to each window's max, found from the forward output `y`.
+
+    A window's winner is its first offset, in (u, v) order, whose value
+    equals `y`, so ties go to the lowest flat index (a window whose max is
+    NaN routes to its last offset).  Gradients are summed with `np.bincount`,
+    which adds in window order starting from 0.0, so overlapping windows
+    accumulate in a fixed order.
+    """
     wh, ww = _pair(window)
-    win = _pool_windows(x, wh, ww, stride)
-    n, c, ho, wo = win.shape[:4]
-    idx = win.reshape(n, c, ho, wo, wh * ww).argmax(axis=4)
-    rows = (np.arange(ho) * stride)[None, None, :, None] + idx // ww
-    cols = (np.arange(wo) * stride)[None, None, None, :] + idx % ww
-    dx = np.zeros_like(x)
-    ni = np.arange(n)[:, None, None, None]
-    ci = np.arange(c)[None, :, None, None]
-    np.add.at(dx, (ni, ci, rows, cols), d_out)
-    return dx
+    n, c, h, w = x.shape
+    ho, wo = y.shape[2], y.shape[3]
+    # Flat index into x of each window's first offset; it moves on to the
+    # next offset for every window that has not yet matched its max.
+    at = ((np.arange(n * c) * (h * w)).reshape(n, c, 1, 1)
+          + (np.arange(ho) * (stride * w))[:, None] + np.arange(wo) * stride)
+    offsets = [(u, v) for u in range(wh) for v in range(ww)]
+    missed = None
+    for (u, v), (nu, nv) in zip(offsets, offsets[1:]):
+        view = x[:, :, u:u + stride * (ho - 1) + 1:stride,
+                 v:v + stride * (wo - 1) + 1:stride]
+        miss = view != y
+        missed = miss if missed is None else np.logical_and(missed, miss, out=missed)
+        at += missed * ((nu - u) * w + (nv - v))
+    return np.bincount(at.ravel(), weights=d_out.ravel(),
+                       minlength=x.size).reshape(x.shape)
 
 
 def linear_forward(x: np.ndarray, weights: np.ndarray, bias: np.ndarray) -> np.ndarray:
@@ -513,7 +523,8 @@ def backward_collect(spec: NetworkSpec, params: list[LayerParams | None],
         elif layer.kind == RELU:
             grad = relu_backward(trace.outputs[i], grad)
         elif layer.kind == MAXPOOL2D:
-            grad = maxpool2d_backward(x_in, layer.window, layer.stride, grad)
+            grad = maxpool2d_backward(x_in, trace.outputs[i], layer.window,
+                                      layer.stride, grad)
         elif layer.kind == FLATTEN:
             grad = grad.reshape(x_in.shape)
         elif layer.kind == LINEAR:

@@ -115,7 +115,9 @@ def extract_probes(uncompressed: model_io.Checkpoint, compressed: model_io.Check
     one backward each.  The backward stops at the probed layer's output, the
     only gradient needed.  Mean cross-entropy is a sum of per-image terms and
     no layer couples images, so the chunk gradient times the chunk size is
-    each image's own batch-size-1 gradient.
+    each image's own batch-size-1 gradient.  Each chunk runs in its own
+    function scope, so its traces and gradients are freed before the next
+    chunk's forwards.
     """
     layer = compressed.spec.layers[layer_index]
     if layer.kind != nn.CONV2D:
@@ -134,44 +136,54 @@ def extract_probes(uncompressed: model_io.Checkpoint, compressed: model_io.Check
                           for _ in range(n_images)])
     rows, cols = flat_locs // wo, flat_locs % wo
 
-    w0 = uncompressed.params[layer_index].weights
-    b0_unc = uncompressed.params[layer_index].bias
-    b_cur = compressed.params[layer_index].bias
     same_prefix = _same_prefix(uncompressed, compressed, layer_index)
-
     total = n_images * n_loc
     y0 = np.empty((total, c_out))
     ystar = np.empty((total, c_out))
     grad = np.empty((total, c_out))
     z = np.empty((total, c_out, c_in))
     patches = np.empty((total, c_in, kh, kw))
-
     for start in range(0, n_images, _PROBE_CHUNK):
-        ids = image_ids[start:start + _PROBE_CHUNK]
-        n = len(ids)
-        batch = dataset.images[ids]
-        trace_c = nn.forward_collect(compressed.spec, compressed.params, batch)
-        trace_u = trace_c if same_prefix else nn.forward_collect(
-            uncompressed.spec, uncompressed.params, batch, upto=layer_index)
-        grads = nn.backward_collect(compressed.spec, compressed.params, trace_c,
-                                    dataset.labels[ids], stop=layer_index + 1)
-        # Fancy indexing puts the (image, location) axes first: (n, n_loc, ...).
-        k = np.arange(n)[:, None]
-        rr, cc = rows[start:start + n], cols[start:start + n]
-        sl = slice(start * n_loc, (start + n) * n_loc)
-        y0[sl] = (trace_u.outputs[layer_index][k, :, rr, cc] - b0_unc).reshape(-1, c_out)
-        ystar[sl] = (trace_c.outputs[layer_index][k, :, rr, cc] - b_cur).reshape(-1, c_out)
-        grad[sl] = (grads.activations[layer_index][k, :, rr, cc] * n).reshape(-1, c_out)
-        # im2col rows run over (image, output row, output column).
-        pat = trace_c.cols[layer_index][(k * ho + rr) * wo + cc].reshape(-1, c_in, kh, kw)
-        patches[sl] = pat
-        z[sl] = np.einsum("pjuv,ijuv->pij", pat, w0)
+        stop = min(start + _PROBE_CHUNK, n_images)
+        sl = slice(start * n_loc, stop * n_loc)
+        y0[sl], ystar[sl], grad[sl], z[sl], patches[sl] = _probe_chunk(
+            uncompressed, compressed, layer_index, same_prefix, dataset,
+            image_ids[start:stop], rows[start:stop], cols[start:stop])
 
     return FeatureProbe(layer_index=layer_index, y0=y0, ystar=ystar, grad=grad,
                         z=z, patches=patches,
                         image_ids=np.repeat(image_ids, n_loc),
                         locations=np.stack([rows.ravel(), cols.ravel()], axis=1),
                         exhaustive=exhaustive)
+
+
+def _probe_chunk(uncompressed: model_io.Checkpoint, compressed: model_io.Checkpoint,
+                 layer_index: int, same_prefix: bool, dataset: model_io.DatasetHandle,
+                 ids: np.ndarray, rows: np.ndarray, cols: np.ndarray):
+    """y0, ystar, grad, z and patches of one chunk of probe images, with
+    rows in (image, location) order; `rows` and `cols` are (n, n_loc)."""
+    layer = compressed.spec.layers[layer_index]
+    kh, kw = layer.kernel
+    c_out, ho, wo = compressed.spec.activation_dims()[layer_index]
+    n = len(ids)
+    batch = dataset.images[ids]
+    trace_c = nn.forward_collect(compressed.spec, compressed.params, batch)
+    trace_u = trace_c if same_prefix else nn.forward_collect(
+        uncompressed.spec, uncompressed.params, batch, upto=layer_index)
+    grads = nn.backward_collect(compressed.spec, compressed.params, trace_c,
+                                dataset.labels[ids], stop=layer_index + 1)
+    # Fancy indexing puts the (image, location) axes first: (n, n_loc, ...).
+    k = np.arange(n)[:, None]
+    b0 = uncompressed.params[layer_index].bias
+    y0 = (trace_u.outputs[layer_index][k, :, rows, cols] - b0).reshape(-1, c_out)
+    b_cur = compressed.params[layer_index].bias
+    ystar = (trace_c.outputs[layer_index][k, :, rows, cols] - b_cur).reshape(-1, c_out)
+    grad = (grads.activations[layer_index][k, :, rows, cols] * n).reshape(-1, c_out)
+    # im2col rows run over (image, output row, output column).
+    pat = trace_c.cols[layer_index][(k * ho + rows) * wo + cols].reshape(
+        -1, layer.in_channels, kh, kw)
+    z = np.einsum("pjuv,ijuv->pij", pat, uncompressed.params[layer_index].weights)
+    return y0, ystar, grad, z, pat
 
 
 def _same_prefix(a: model_io.Checkpoint, b: model_io.Checkpoint, upto: int) -> bool:
@@ -407,7 +419,9 @@ def prune_model(uncompressed: model_io.Checkpoint, dataset: model_io.DatasetHand
 
     Convs are visited shallow to deep, skipping the first; after each stage
     the model is the pruned prefix, the freshly refit layer, and the
-    untouched suffix.  Any stage failure raises with the traces so far
+    untouched suffix.  Each stage runs in its own function scope, so its
+    probes, selection system and refit are freed before the next stage
+    extracts probes.  Any stage failure raises with the traces so far
     attached to the exception.
     """
     _check_conv_chain(uncompressed.spec)
@@ -420,37 +434,47 @@ def prune_model(uncompressed: model_io.Checkpoint, dataset: model_io.DatasetHand
         budget = budgets.get(ordinal)
         if budget is None:
             continue
-        li, prev = convs[ordinal - 1], convs[ordinal - 2]
         try:
-            probe = extract_probes(uncompressed, compressed, li, dataset, config)
-            cur = compressed.params[li]
-            if config.variant == VARIANT_MAGNITUDE:
-                support = magnitude_select(cur.weights, budget)
-                lam, warn, converged = None, False, True
-            else:
-                system = build_weighted_system(probe, config.variant, config.gamma)
-                if not system.col_sq_norms.any():
-                    raise ValueError(f"conv {ordinal} (layer {li}): every weighted "
-                                     "column is zero, so there is no channel to select")
-                sel = select_channels(system, budget, config)
-                support, lam, warn = sel.support, sel.lambda_final, sel.budget_warning
-                converged = sel.converged
-            refit = refit_layer(probe, support, cur.bias, damping=config.damping)
-            sup = np.asarray(support, dtype=np.int64)
-            compressed = _rewrite(compressed, prev, li, sup, refit.weights, refit.bias)
-            traces.append(PruneTrace(
-                layer_index=li, conv_ordinal=ordinal, variant=config.variant,
-                budget=budget, lambda_final=lam, support=tuple(support),
-                residual_before=refit.residual_before,
-                residual_after=refit.residual_after, damping=refit.damping,
-                exhaustive_locations=probe.exhaustive, budget_warning=warn,
-                normal_residual=refit.normal_residual,
-                weight_norm=refit.weight_norm, rhs_scale=refit.rhs_scale,
-                converged=converged))
+            compressed, trace = _prune_stage(uncompressed, compressed, dataset, config,
+                                             ordinal, budget)
         except Exception as exc:
             exc.prune_traces = traces
             raise
+        traces.append(trace)
     return compressed, traces
+
+
+def _prune_stage(uncompressed: model_io.Checkpoint, compressed: model_io.Checkpoint,
+                 dataset: model_io.DatasetHandle, config: PruneConfig, ordinal: int,
+                 budget: int) -> tuple[model_io.Checkpoint, PruneTrace]:
+    """Probe, select, refit and rewrite one conv; returns the new model and
+    the stage's trace."""
+    convs = uncompressed.spec.conv_indices()
+    li, prev = convs[ordinal - 1], convs[ordinal - 2]
+    probe = extract_probes(uncompressed, compressed, li, dataset, config)
+    cur = compressed.params[li]
+    if config.variant == VARIANT_MAGNITUDE:
+        support = magnitude_select(cur.weights, budget)
+        lam, warn, converged = None, False, True
+    else:
+        system = build_weighted_system(probe, config.variant, config.gamma)
+        if not system.col_sq_norms.any():
+            raise ValueError(f"conv {ordinal} (layer {li}): every weighted "
+                             "column is zero, so there is no channel to select")
+        sel = select_channels(system, budget, config)
+        support, lam, warn = sel.support, sel.lambda_final, sel.budget_warning
+        converged = sel.converged
+    refit = refit_layer(probe, support, cur.bias, damping=config.damping)
+    sup = np.asarray(support, dtype=np.int64)
+    return _rewrite(compressed, prev, li, sup, refit.weights, refit.bias), PruneTrace(
+        layer_index=li, conv_ordinal=ordinal, variant=config.variant,
+        budget=budget, lambda_final=lam, support=tuple(support),
+        residual_before=refit.residual_before,
+        residual_after=refit.residual_after, damping=refit.damping,
+        exhaustive_locations=probe.exhaustive, budget_warning=warn,
+        normal_residual=refit.normal_residual,
+        weight_norm=refit.weight_norm, rhs_scale=refit.rhs_scale,
+        converged=converged)
 
 
 # ---------------------------------------------------------------------------

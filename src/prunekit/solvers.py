@@ -1,12 +1,13 @@
 """Numerical engines for channel selection and weight reconstruction.
 
 Two solvers: an l1-penalised weighted least-squares (LASSO) coordinate
-descent, finished by an exact solve on its active set, with a geometric
-lambda search that enforces a cardinality budget, and an ordinary
-least-squares refitter for the kept-channel conv weights.
+descent, finished exactly by a feature-sign search over its active set,
+with a geometric lambda search that enforces a cardinality budget, and an
+ordinary least-squares refitter for the kept-channel conv weights.
 
 All solves are deterministic: coordinates are visited in ascending index
-order and every tie-break picks the lowest index.
+order and every tie-break picks the lowest index.  Bit-identical columns
+count as one, the lowest-indexed of them, so exact ties go to it.
 """
 
 from __future__ import annotations
@@ -37,12 +38,15 @@ class WeightedSystem:
     Rows are (probe, output-channel) pairs, columns are the layer's input
     channels.  The objective at beta is ||b - A beta||^2 + lambda * |beta|_1.
     Squared column norms are cached; the Gram matrix and correlation vector
-    are computed lazily so cheap uses never pay for them.
+    are computed lazily so cheap uses never pay for them.  `first_copy[j]`
+    is the lowest index whose column is bit-identical to nonzero column j
+    (j itself when there is none).
     """
 
     a: np.ndarray
     b: np.ndarray
     col_sq_norms: np.ndarray = field(init=False)
+    first_copy: np.ndarray = field(init=False)
     _gram: np.ndarray | None = field(default=None, init=False, repr=False)
     _corr: np.ndarray | None = field(default=None, init=False, repr=False)
 
@@ -57,6 +61,18 @@ class WeightedSystem:
         if self.a.shape[0] < 1 or self.a.shape[1] < 1:
             raise ValueError("system must have at least one row and one column")
         self.col_sq_norms = (self.a * self.a).sum(axis=0)
+        # Identical columns have bit-equal squared norms; only those pairs
+        # are compared.
+        self.first_copy = np.arange(self.cols)
+        by_norm: dict[float, list[int]] = {}
+        for j in np.flatnonzero(self.col_sq_norms > 0.0).tolist():
+            seen = by_norm.setdefault(float(self.col_sq_norms[j]), [])
+            for i in seen:
+                if np.array_equal(self.a[:, i], self.a[:, j]):
+                    self.first_copy[j] = i
+                    break
+            else:
+                seen.append(j)
 
     @property
     def rows(self) -> int:
@@ -108,33 +124,58 @@ def _soft_threshold(z: float, t: float) -> float:
     return 0.0
 
 
-def _active_set_solve(gram: np.ndarray, corr: np.ndarray, signs: np.ndarray,
-                      live: np.ndarray, half_lam: float) -> np.ndarray | None:
-    """Exact LASSO solution for a guessed sign pattern, or None if it is not one.
+def _feature_sign_finish(gram: np.ndarray, corr: np.ndarray, beta: np.ndarray,
+                         live: np.ndarray, half_lam: float,
+                         max_steps: int) -> np.ndarray | None:
+    """Exact LASSO solution by feature-sign search from `beta`, or None.
 
-    Solves G_AA beta_A = c_A - (lam/2) s_A on the active set A = {s != 0} and
-    accepts the result only when its signs are `signs` and it passes the KKT
-    conditions: |c_j - (G beta)_j| <= lam/2 on every inactive live column,
-    and stationarity on A within a tolerance relative to the terms' scale.
+    Each step solves G_AA x_A = c_A - (lam/2) s_A on the active set
+    A = {s != 0} (Lee, Battle, Raina & Ng 2007).  A solution that changes
+    a sign is cut back to the first point on the segment from beta towards
+    it where a coefficient reaches zero, and that coefficient leaves A; the
+    objective falls along the segment up to there.  A sign-consistent
+    solution is returned when it passes the KKT conditions:
+    |c_j - (G x)_j| <= lam/2 on every inactive live column, and
+    stationarity on A within a tolerance relative to the terms' scale.
+    Otherwise the inactive live column that violates them most joins A with
+    the sign of its slack.  Gives up after `max_steps` solves, when G_AA is
+    not positive definite, or when stationarity fails; with one step this
+    is a single solve for the sign pattern of `beta`.
     """
-    beta = np.zeros(len(signs))
-    act = np.flatnonzero(signs)
-    g_aa = gram[np.ix_(act, act)]
-    if len(act):
-        try:
-            cf = scipy.linalg.cho_factor(g_aa, lower=True)
-        except np.linalg.LinAlgError:
+    beta = beta.copy()
+    signs = np.sign(beta)
+    for _ in range(max_steps):
+        act = np.flatnonzero(signs)
+        new = np.zeros(len(signs))
+        g_aa = gram[np.ix_(act, act)]
+        if len(act):
+            try:
+                cf = scipy.linalg.cho_factor(g_aa, lower=True)
+            except np.linalg.LinAlgError:
+                return None
+            new[act] = scipy.linalg.cho_solve(cf, corr[act] - half_lam * signs[act])
+            flipped = act[np.sign(new[act]) != signs[act]]
+            if len(flipped):
+                # A coefficient that just joined A is still 0: it stops here.
+                b = beta[flipped]
+                t = np.divide(b, b - new[flipped], out=np.zeros(len(b)), where=b != 0.0)
+                step = t.min()
+                beta += step * (new - beta)
+                beta[flipped[t == step]] = 0.0
+                signs = np.sign(beta)
+                continue
+        slack = corr - gram @ new
+        excess = np.where(live & (signs == 0), np.abs(slack) - half_lam, 0.0)
+        j = int(np.argmax(excess))
+        if excess[j] > 0.0:
+            beta = new
+            signs[j] = np.sign(slack[j])
+            continue
+        scale = np.abs(corr[act]) + np.abs(g_aa) @ np.abs(new[act]) + half_lam
+        if np.any(np.abs(slack[act] - half_lam * signs[act]) > _KKT_RTOL * scale):
             return None
-        beta[act] = scipy.linalg.cho_solve(cf, corr[act] - half_lam * signs[act])
-        if not np.array_equal(np.sign(beta[act]), signs[act]):
-            return None
-    slack = corr - gram @ beta
-    if np.any(np.abs(slack[live & (signs == 0)]) > half_lam):
-        return None
-    scale = np.abs(corr[act]) + np.abs(g_aa) @ np.abs(beta[act]) + half_lam
-    if np.any(np.abs(slack[act] - half_lam * signs[act]) > _KKT_RTOL * scale):
-        return None
-    return beta
+        return new
+    return None
 
 
 def lasso_coordinate_descent(system: WeightedSystem, lam: float,
@@ -145,11 +186,14 @@ def lasso_coordinate_descent(system: WeightedSystem, lam: float,
 
     Returns (beta, converged).  Stops when the largest coordinate change in
     a sweep falls below `tol`, or earlier through an exact finish: after a
-    sweep that leaves the sign pattern of beta unchanged, the active set's
-    linear system is solved directly and that solution is returned if it
-    keeps the signs and satisfies the KKT conditions.  `converged` is True
-    when either stop was reached; running out of sweeps is reported via the
-    flag, not an exception.  All-zero columns are pinned at beta_j = 0.
+    sweep that leaves the sign pattern of beta unchanged, a feature-sign
+    search from that beta (at most `max_sweeps` and twice the live column
+    count solves) looks for the exact solution, and sweeping goes on if it
+    finds none.  `converged` is True when either stop was reached; running
+    out of sweeps is reported via the flag, not an exception.  All-zero
+    columns are pinned at beta_j = 0, and so is every column after the
+    first of a bit-identical group (`WeightedSystem.first_copy`); a
+    beta_init weight on such a copy moves onto the group's first column.
     The objective never increases relative to beta_init.
     """
     if lam < 0:
@@ -160,6 +204,8 @@ def lasso_coordinate_descent(system: WeightedSystem, lam: float,
     corr = system.corr()
     d = system.col_sq_norms
     cols = system.cols
+    first = system.first_copy
+    copies = np.flatnonzero(first != np.arange(cols))
 
     if beta_init is None:
         beta = np.zeros(cols)
@@ -168,9 +214,14 @@ def lasso_coordinate_descent(system: WeightedSystem, lam: float,
         if beta.shape != (cols,):
             raise ValueError(f"beta_init length: expected {cols}, got {beta.shape}")
         beta[d == 0.0] = 0.0
+        for j in copies:
+            beta[first[j]] += beta[j]
+            beta[j] = 0.0
 
     live = d > 0.0
+    live[copies] = False
     live_cols = np.flatnonzero(live)
+    finish_steps = min(max_sweeps, 2 * len(live_cols))
     half_lam = 0.5 * lam
     signs = np.sign(beta)
     for _ in range(max_sweeps):
@@ -192,7 +243,7 @@ def lasso_coordinate_descent(system: WeightedSystem, lam: float,
             return beta, True
         prev_signs, signs = signs, np.sign(beta)
         if np.array_equal(signs, prev_signs):
-            exact = _active_set_solve(gram, corr, signs, live, half_lam)
+            exact = _feature_sign_finish(gram, corr, beta, live, half_lam, finish_steps)
             if exact is not None:
                 return exact, True
     return beta, False
@@ -215,7 +266,9 @@ def lambda_search(system: WeightedSystem, budget: int,
     rank-deficient or its condition number passes `_GRAM_COND_LIMIT`, that
     step fits on A_S by least squares and scores against the residual
     b - A_S w instead.  `residual_norm` is ||b - A w|| with w zero off the
-    support.
+    support.  Each excluded column is scored as the first column of its
+    bit-identical group, so exact ties go to the lowest index, and the
+    grid's lambda_max comes from those first columns too.
     Requesting more columns than are nonzero sets `budget_warning`.
     """
     cols = system.cols
@@ -227,7 +280,9 @@ def lambda_search(system: WeightedSystem, budget: int,
     budget_warning = budget > len(nonzero_cols)
     target = min(budget, len(nonzero_cols))
 
-    corr_peak = np.abs(system.corr()[nonzero_cols]).max() if len(nonzero_cols) else 0.0
+    first = system.first_copy
+    leads = nonzero_cols[first[nonzero_cols] == nonzero_cols]
+    corr_peak = np.abs(system.corr()[leads]).max() if len(leads) else 0.0
     floor = LAMBDA_FLOOR_FRACTION * 2.0 * corr_peak if lambda_floor is None else lambda_floor
 
     lam = floor
@@ -258,10 +313,11 @@ def lambda_search(system: WeightedSystem, budget: int,
     while len(support) < target:
         s = np.array(support, dtype=np.int64)
         w, on_gram = restricted_ols(s)
+        u, inv = np.unique(first[excluded], return_inverse=True)
         if on_gram:
-            scores = np.abs(corr[excluded] - gram[np.ix_(excluded, s)] @ w)
+            scores = np.abs(corr[u] - gram[np.ix_(u, s)] @ w)[inv]
         else:
-            scores = np.abs(system.a[:, excluded].T @ (system.b - system.a[:, s] @ w))
+            scores = np.abs(system.a[:, u].T @ (system.b - system.a[:, s] @ w))[inv]
         pick = excluded[int(np.argmax(scores))]  # argmax ties -> lowest index
         support.append(pick)
         excluded.remove(pick)

@@ -229,6 +229,23 @@ def maxpool_loop(x, window, stride):
     return out
 
 
+def maxpool_backward_reference(x, window, stride, d_out):
+    """Max-pool gradient by a per-window argmax over a window view and an
+    `np.add.at` scatter: ties go to the lowest flat index, and overlapping
+    windows add in (n, c, output row, output column) order."""
+    wh, ww = window
+    win = sliding_window_view(x, (wh, ww), axis=(2, 3))[:, :, ::stride, ::stride]
+    n, c, ho, wo = win.shape[:4]
+    idx = win.reshape(n, c, ho, wo, wh * ww).argmax(axis=4)
+    rows = (np.arange(ho) * stride)[None, None, :, None] + idx // ww
+    cols = (np.arange(wo) * stride)[None, None, None, :] + idx % ww
+    dx = np.zeros_like(x)
+    ni = np.arange(n)[:, None, None, None]
+    ci = np.arange(c)[None, :, None, None]
+    np.add.at(dx, (ni, ci, rows, cols), d_out)
+    return dx
+
+
 def synth_dataset_loop(seed, count, classes, dims=(1, 16, 16), noise=0.25,
                        amplitude=0.9, jitter=1.5):
     """`model_io.synth_dataset` written one image at a time: (images, labels)."""

@@ -100,6 +100,28 @@ class TestTrain:
         with pytest.raises(ValueError, match="empty dataset"):
             harness.train(spec, empty, harness.TrainConfig(epochs=1))
 
+    def test_non_finite_weights_stop_at_the_first_batch(self, spec, train_data):
+        init = nn.init_params(spec, 0)
+        init[0].weights[0, 0, 0, 0] = np.nan
+        with pytest.raises(FloatingPointError,
+                           match=r"^training diverged: loss nan at epoch 1, batch 1$"):
+            harness.train(spec, train_data, harness.TrainConfig(epochs=1), init=init)
+
+    def test_non_finite_loss_names_epoch_and_batch(self, spec, train_data,
+                                                   monkeypatch):
+        # 320 images in batches of 32: the 13th loss is epoch 2, batch 3.
+        real, calls = nn.cross_entropy, []
+
+        def loss(logits, labels):
+            calls.append(None)
+            return np.inf if len(calls) == 13 else real(logits, labels)
+
+        monkeypatch.setattr(nn, "cross_entropy", loss)
+        cfg = harness.TrainConfig(epochs=3, batch_size=32, lr=0.05, seed=0)
+        with pytest.raises(FloatingPointError, match="loss inf at epoch 2, batch 3$"):
+            harness.train(spec, train_data, cfg)
+        assert len(calls) == 13
+
     def test_lr_schedule_steps(self):
         cfg = harness.TrainConfig(epochs=20, lr=0.1)
         assert harness._epoch_lr(cfg, 0) == 0.1

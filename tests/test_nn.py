@@ -5,7 +5,7 @@ from hypothesis import given, strategies as st
 from prunekit import harness, model_io, nn
 
 from _oracles import (conv2d_loop, conv_backward_reference, fd_max_rel_error,
-                      maxpool_loop, random_small_net)
+                      maxpool_backward_reference, maxpool_loop, random_small_net)
 
 
 def tiny_spec():
@@ -297,7 +297,7 @@ class TestAuxOps:
         x = np.array([[[[1.0, 2.0], [3.0, 4.0]]]])
         out = nn.maxpool2d_forward(x, (2, 2), 2)
         assert out[0, 0, 0, 0] == 4.0
-        dx = nn.maxpool2d_backward(x, (2, 2), 2, np.ones((1, 1, 1, 1)))
+        dx = nn.maxpool2d_backward(x, out, (2, 2), 2, np.ones((1, 1, 1, 1)))
         np.testing.assert_array_equal(dx[0, 0], [[0.0, 0.0], [0.0, 1.0]])
 
     @given(st.integers(0, 2 ** 32 - 1), st.integers(1, 3), st.integers(1, 3),
@@ -313,13 +313,43 @@ class TestAuxOps:
         want = maxpool_loop(x, (wh, ww), stride)
         assert got.shape == want.shape and got.tobytes() == want.tobytes()
 
+    @given(st.integers(0, 2 ** 32 - 1), st.integers(1, 3), st.integers(1, 3),
+           st.integers(1, 3))
+    def test_maxpool_backward_matches_add_at_reference_bitwise(self, seed, wh, ww,
+                                                               stride):
+        # Ties (including +-0.0 after the ReLU), overlapping windows when
+        # stride < window, and signed-zero gradients.
+        rng = np.random.default_rng(seed)
+        shape = (int(rng.integers(1, 3)), int(rng.integers(1, 4)),
+                 int(rng.integers(wh, 9)), int(rng.integers(ww, 9)))
+        x = nn.relu_forward(rng.choice([-1.5, -0.5, -0.0, 0.25, 0.5, 2.0], size=shape))
+        y = nn.maxpool2d_forward(x, (wh, ww), stride)
+        d_out = rng.choice([-1.0, -0.0, 0.0, 0.3, 1e-300, 7.0], size=y.shape)
+        got = nn.maxpool2d_backward(x, y, (wh, ww), stride, d_out)
+        want = maxpool_backward_reference(x, (wh, ww), stride, d_out)
+        assert got.shape == want.shape and got.tobytes() == want.tobytes()
+
+    def test_training_matches_reference_pool_backward_bitwise(self, monkeypatch,
+                                                             tmp_path):
+        data = model_io.synth_dataset(3, 96, 10, dims=(1, 12, 12))
+        spec = harness.desk_net(input_dims=(1, 12, 12), widths=(6, 8, 8, 10))
+        cfg = harness.TrainConfig(epochs=2, batch_size=32, lr=0.05)
+        model_io.save_checkpoint(tmp_path / "fast.ckpt", harness.train(spec, data, cfg))
+        monkeypatch.setattr(nn, "maxpool2d_backward", lambda x, y, win, s, d: (
+            maxpool_backward_reference(x, win, s, d)))
+        model_io.save_checkpoint(tmp_path / "reference.ckpt",
+                                 harness.train(spec, data, cfg))
+        assert ((tmp_path / "fast.ckpt").read_bytes()
+                == (tmp_path / "reference.ckpt").read_bytes())
+
     def test_maxpool_window_larger_than_input(self):
         with pytest.raises(nn.ShapeError, match="larger than input"):
             nn.maxpool2d_forward(np.zeros((1, 1, 2, 2)), (3, 3), 1)
 
     def test_maxpool_tie_lowest_flat_index(self):
         x = np.full((1, 1, 2, 2), 3.0)
-        dx = nn.maxpool2d_backward(x, (2, 2), 2, np.ones((1, 1, 1, 1)))
+        y = nn.maxpool2d_forward(x, (2, 2), 2)
+        dx = nn.maxpool2d_backward(x, y, (2, 2), 2, np.ones((1, 1, 1, 1)))
         np.testing.assert_array_equal(dx[0, 0], [[1.0, 0.0], [0.0, 0.0]])
 
     def test_linear_matches_matvec_oracle(self, rng):

@@ -1,4 +1,5 @@
 import dataclasses
+import weakref
 
 import numpy as np
 import pytest
@@ -416,6 +417,53 @@ class TestPruneModel:
             if p is not None:
                 assert p.weights.tobytes() == q.weights.tobytes()
                 assert p.bias.tobytes() == q.bias.tobytes()
+
+    def test_previous_stage_is_freed_before_the_next_probes(self, trained, synth_data,
+                                                            monkeypatch):
+        real_probes, real_system = pruner.extract_probes, pruner.build_weighted_system
+        held, dead = [], []
+
+        def probes(*args, **kwargs):
+            dead.append([ref() is None for ref in held])
+            held.clear()
+            probe = real_probes(*args, **kwargs)
+            held.append(weakref.ref(probe.z))
+            return probe
+
+        def system(*args, **kwargs):
+            sys_ = real_system(*args, **kwargs)
+            held.append(weakref.ref(sys_.a))
+            return sys_
+
+        monkeypatch.setattr(pruner, "extract_probes", probes)
+        monkeypatch.setattr(pruner, "build_weighted_system", system)
+        pruner.prune_model(trained, synth_data, quick_config(flops_target=2.0))
+        assert dead == [[], [True, True], [True, True]]
+
+    def test_previous_chunk_is_freed_before_the_next_forward(self, trained, synth_data,
+                                                             monkeypatch):
+        # 150 probe images are three chunks per conv; each chunk ends with
+        # its one backward.
+        real_forward, real_backward = nn.forward_collect, nn.backward_collect
+        chunk, finished, dead = [], [], []
+
+        def forward(*args, **kwargs):
+            dead.append(all(ref() is None for ref in finished))
+            trace = real_forward(*args, **kwargs)
+            chunk.extend(weakref.ref(c) for c in trace.cols.values())
+            return trace
+
+        def backward(*args, **kwargs):
+            grads = real_backward(*args, **kwargs)
+            finished[:] = chunk
+            chunk.clear()
+            return grads
+
+        monkeypatch.setattr(nn, "forward_collect", forward)
+        monkeypatch.setattr(nn, "backward_collect", backward)
+        pruner.prune_model(trained, synth_data,
+                           quick_config(flops_target=2.0, probe_images=150))
+        assert len(dead) >= 9 and all(dead)
 
     def test_stage_failure_carries_traces_so_far(self, trained, synth_data,
                                                  monkeypatch):

@@ -1,3 +1,4 @@
+import time
 import warnings
 
 import numpy as np
@@ -183,6 +184,113 @@ class TestActiveSetFinish:
                                                             max_sweeps=1, tol=0.0)
         assert converged
         np.testing.assert_allclose(again, beta, rtol=1e-9, atol=1e-12)
+
+
+def count_finish_attempts(monkeypatch):
+    """Patch the exact finish to log, per LASSO solve, one entry per attempt."""
+    real_finish, real_solve = solvers._feature_sign_finish, solvers.lasso_coordinate_descent
+    per_solve = []
+
+    def finish(*args, **kwargs):
+        per_solve[-1] += 1
+        return real_finish(*args, **kwargs)
+
+    def solve(*args, **kwargs):
+        per_solve.append(0)
+        return real_solve(*args, **kwargs)
+
+    monkeypatch.setattr(solvers, "_feature_sign_finish", finish)
+    monkeypatch.setattr(solvers, "lasso_coordinate_descent", solve)
+    return per_solve
+
+
+class TestFeatureSignSearch:
+    @given(st.integers(0, 2 ** 32 - 1), st.floats(0.001, 0.9), st.floats(0.05, 2.0))
+    @settings(max_examples=30)
+    def test_from_any_sign_pattern_matches_sweep_oracle(self, seed, frac, spread):
+        # Start from random signs on a random subset, not from a sweep, so
+        # the search has to add and drop columns.
+        rng = np.random.default_rng(seed)
+        cols = int(rng.integers(2, 9))
+        sys_ = collinear_system(rng, int(rng.integers(cols + 2, 40)), cols, spread)
+        lam = frac * 2.0 * np.abs(sys_.corr()).max()
+        start = rng.normal(size=cols) * (rng.random(cols) < 0.5)
+        beta = solvers._feature_sign_finish(sys_.gram(), sys_.corr(), start,
+                                            sys_.col_sq_norms > 0.0, 0.5 * lam,
+                                            max_steps=4 * cols)
+        assert beta is not None
+        viol, scale = kkt_violation(sys_.a, sys_.b, beta, lam)
+        assert viol <= 1e-9 * scale
+        ref, ref_converged = lasso_sweeps(sys_.a, sys_.b, lam, tol=1e-12)
+        if ref_converged:
+            assert np.flatnonzero(beta).tolist() == np.flatnonzero(ref).tolist()
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_at_most_two_finish_attempts_per_solve(self, seed, monkeypatch):
+        sys_ = collinear_system(np.random.default_rng(seed), 60, 16, 0.02)
+        per_solve = count_finish_attempts(monkeypatch)
+        for budget in (2, 5, 8, 12):
+            res = solvers.lambda_search(sys_, budget)
+            assert res.converged
+        assert per_solve and max(per_solve) <= 2
+
+    def test_one_step_is_the_one_shot_finish(self, rng):
+        # With one step the search is a single solve for the sweep's signs:
+        # a wrong sign pattern gives None instead of a line search.
+        sys_ = collinear_system(rng, 40, 8, 0.1)
+        lam = 0.05 * np.abs(sys_.corr()).max()
+        beta, _ = solvers.lasso_coordinate_descent(sys_, lam)
+        live = sys_.col_sq_norms > 0.0
+        wrong = -beta
+        assert solvers._feature_sign_finish(sys_.gram(), sys_.corr(), wrong, live,
+                                            0.5 * lam, max_steps=1) is None
+        found = solvers._feature_sign_finish(sys_.gram(), sys_.corr(), wrong, live,
+                                             0.5 * lam, max_steps=4 * sys_.cols)
+        np.testing.assert_allclose(found, beta, rtol=1e-9, atol=1e-12)
+
+
+class TestIdenticalColumns:
+    def test_first_copy_maps_each_column_to_its_lowest_twin(self, rng):
+        x, y = rng.normal(size=10), rng.normal(size=10)
+        a = np.column_stack([x, y, x, np.zeros(10), y, np.zeros(10), -x])
+        sys_ = solvers.WeightedSystem(a, rng.normal(size=10))
+        assert sys_.first_copy.tolist() == [0, 1, 0, 3, 1, 5, 6]
+
+    @pytest.mark.parametrize("seed", range(5, 11))
+    def test_duplicated_column_search_is_fast_and_keeps_no_copy(self, seed):
+        rng = np.random.default_rng(seed)
+        a = rng.normal(size=(30, 8)) * rng.uniform(0.2, 3.0, size=8)
+        a[:, 5] = a[:, 2]
+        b = a @ rng.normal(size=8) + 0.3 * rng.normal(size=30)
+        sys_ = solvers.WeightedSystem(a, b)
+        t0 = time.perf_counter()
+        res = solvers.lambda_search(sys_, 4)
+        assert time.perf_counter() - t0 < 0.1
+        assert res.converged and res.beta[5] == 0.0
+        viol, scale = kkt_violation(a, b, res.beta, res.lambda_final)
+        assert viol <= 1e-9 * scale
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_exact_tie_in_backfill_goes_to_the_lowest_index(self, seed):
+        rng = np.random.default_rng(seed)
+        a = rng.normal(size=(40, 6))
+        a[:, 4] = a[:, 1]
+        b = 3.0 * a[:, 1] + 0.1 * rng.normal(size=40)
+        sys_ = solvers.WeightedSystem(a, b)
+        # A floor above lambda_max leaves beta = 0, so backfill picks first.
+        floor = 4.0 * np.abs(sys_.corr()).max()
+        assert solvers.lambda_search(sys_, 1, lambda_floor=floor).support == (1,)
+        assert solvers.lambda_search(sys_, 1).support == (1,)
+
+    def test_weight_on_a_copy_moves_to_its_first_column(self, rng):
+        a = rng.normal(size=(20, 4))
+        a[:, 3] = a[:, 0]
+        sys_ = solvers.WeightedSystem(a, rng.normal(size=20))
+        start = np.array([0.5, 0.0, 0.0, 0.7])
+        beta, _ = solvers.lasso_coordinate_descent(sys_, 0.1, beta_init=start,
+                                                   max_sweeps=1, tol=0.0)
+        assert beta[3] == 0.0
+        assert sys_.objective(beta, 0.1) <= sys_.objective(start, 0.1)
 
 
 class TestLambdaSearch:
