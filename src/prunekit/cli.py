@@ -207,12 +207,8 @@ def cmd_report(args) -> int:
         return 0
     payload = json.loads(path.read_text())
     if "rows" in payload:
-        for row in payload["rows"]:
-            per_seed = ",".join(f"{a:.4f}" for a in row["accuracy_finetuned"])
-            print(f"{row['variant']}\tloc={row['num_locations']}\t"
-                  f"cr={row['compression_ratio_mean']:.3f}\t"
-                  f"acc={row['accuracy_finetuned_mean']:.4f}\t"
-                  f"drop={row['accuracy_drop_mean']:+.4f}\t[{per_seed}]")
+        print(harness.format_experiment_table(harness.experiment_from_dict(payload)),
+              end="")
     else:
         print(harness.format_report(harness.report_from_dict(payload)))
     return 0

@@ -114,7 +114,8 @@ def train(spec: nn.NetworkSpec, data: model_io.DatasetHandle, cfg: TrainConfig,
         for start in range(0, n, cfg.batch_size):
             idx = perm[start:start + cfg.batch_size]
             trace = nn.forward_collect(spec, params, data.images[idx])
-            grads = nn.backward_collect(spec, params, trace, data.labels[idx])
+            grads = nn.backward_collect(spec, params, trace, data.labels[idx],
+                                        wrt_input=False)
             if not np.isfinite(grads.loss):
                 raise FloatingPointError(
                     f"training diverged: loss {grads.loss} at epoch {epoch + 1}, "
@@ -196,8 +197,8 @@ class CompressionReport:
         return replace(self, accuracy_finetuned=accuracy, accuracy_drop=drop)
 
 
-def report_to_dict(report: CompressionReport, include_timings: bool = False) -> dict:
-    d = {
+def report_to_dict(report: CompressionReport) -> dict:
+    return {
         "variant": report.variant,
         "seed": report.seed,
         "num_locations": report.num_locations,
@@ -213,9 +214,6 @@ def report_to_dict(report: CompressionReport, include_timings: bool = False) -> 
                     "flops_before": s.flops_before, "flops_after": s.flops_after}
                    for s in report.layers],
     }
-    if include_timings:
-        d["timings"] = report.timings
-    return d
 
 
 def report_from_dict(d: dict) -> CompressionReport:
@@ -261,10 +259,17 @@ def format_report(report: CompressionReport) -> str:
 
 
 def prune(ckpt: model_io.Checkpoint, probe_data: model_io.DatasetHandle,
-          test_data: model_io.DatasetHandle | None, cfg: pruner.PruneConfig):
-    """Prune a checkpoint and account for it; returns (pruned, report, traces)."""
+          test_data: model_io.DatasetHandle | None, cfg: pruner.PruneConfig,
+          accuracy_baseline: float | None = None):
+    """Prune a checkpoint and account for it; returns (pruned, report, traces).
+
+    The baseline accuracy is `ckpt`'s on `test_data`; a caller that already
+    has it passes it as `accuracy_baseline` and it is not evaluated again.
+    """
     timings: dict[str, float] = {}
-    acc_base = evaluate(ckpt, test_data) if test_data is not None else None
+    acc_base = accuracy_baseline
+    if acc_base is None and test_data is not None:
+        acc_base = evaluate(ckpt, test_data)
     t0 = time.perf_counter()
     pruned, traces = pruner.prune_model(ckpt, probe_data, cfg)
     timings["prune_s"] = time.perf_counter() - t0
@@ -356,6 +361,8 @@ def run_experiment(plan: ExperimentPlan, spec: nn.NetworkSpec,
     # before any baseline is trained.
     configs = [replace(prune_cfg, variant=c.variant, seed=c.seed,
                        num_locations=c.num_locations) for c in cells]
+    if len(test_data) == 0:
+        raise ValueError("cannot evaluate on an empty split")
     out_path = Path(out_dir) if out_dir is not None else None
     if out_path is not None:
         out_path.mkdir(parents=True, exist_ok=True)
@@ -368,13 +375,16 @@ def run_experiment(plan: ExperimentPlan, spec: nn.NetworkSpec,
         if out_path is not None:
             model_io.save_checkpoint(out_path / f"baseline_seed{seed}.ckpt", ckpt)
 
+    # `train` and `finetune` record each checkpoint's test accuracy in its
+    # metadata, so every checkpoint is evaluated once.
     reports: dict[tuple, CompressionReport] = {}
     for cell, cfg in zip(cells, configs):
-        pruned, report, traces = prune(baselines[cell.seed], train_data,
-                                       test_data, cfg)
+        baseline = baselines[cell.seed]
+        pruned, report, traces = prune(baseline, train_data, test_data, cfg,
+                                       baseline.metadata["accuracy"])
         tuned = finetune(pruned, train_data, replace(finetune_cfg, seed=cell.seed),
                          eval_data=test_data)
-        report = report.with_finetuned(evaluate(tuned, test_data))
+        report = report.with_finetuned(tuned.metadata["accuracy"])
         key = (cell.variant, cell.num_locations, cell.seed)
         reports[key] = report
         if out_path is not None:
@@ -421,6 +431,20 @@ def experiment_to_dict(result: ExperimentResult) -> dict:
             "compression_ratio_mean": r.compression_ratio_mean,
         } for r in result.rows],
     }
+
+
+def experiment_from_dict(d: dict) -> ExperimentResult:
+    """Inverse of `experiment_to_dict`; per-cell reports are not part of it."""
+    rows = [ExperimentRow(
+        variant=r["variant"], num_locations=r["num_locations"],
+        seeds=tuple(r["seeds"]), accuracy_finetuned=tuple(r["accuracy_finetuned"]),
+        accuracy_drop=tuple(r["accuracy_drop"]),
+        accuracy_finetuned_mean=r["accuracy_finetuned_mean"],
+        accuracy_drop_mean=r["accuracy_drop_mean"],
+        compression_ratio_mean=r["compression_ratio_mean"]) for r in d["rows"]]
+    return ExperimentResult(
+        rows=rows, reports={},
+        baseline_accuracy={int(k): v for k, v in d["baseline_accuracy"].items()})
 
 
 def format_experiment_table(result: ExperimentResult) -> str:

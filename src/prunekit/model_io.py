@@ -378,7 +378,3 @@ def load_config(path) -> dict[str, str]:
         out[key.strip()] = value.strip()
     return out
 
-
-def save_config(path, values: dict) -> None:
-    lines = [f"{k} = {values[k]}" for k in sorted(values)]
-    Path(path).write_text("\n".join(lines) + "\n")

@@ -11,6 +11,7 @@ produce bit-identical outputs (reductions run in a fixed order).
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -217,12 +218,32 @@ def copy_params(params: list[LayerParams | None]) -> list[LayerParams | None]:
 # Convolution
 # ---------------------------------------------------------------------------
 
+@functools.lru_cache(maxsize=64)
+def _im2col_index(c_in: int, hp: int, wp: int, kh: int, kw: int,
+                  stride: int) -> np.ndarray:
+    """Flat offsets into one padded (c_in, hp, wp) image of every im2col entry.
+
+    Entry [p, t] is the offset of tap t, in (c_in, kh, kw) order, of output
+    position p, in (ho, wo) order.  The cached table is read-only.
+    """
+    ho, wo = (hp - kh) // stride + 1, (wp - kw) // stride + 1
+    pos = (np.arange(ho) * (stride * wp))[:, None] + np.arange(wo) * stride
+    tap = ((np.arange(c_in) * (hp * wp))[:, None, None]
+           + (np.arange(kh) * wp)[:, None] + np.arange(kw))
+    index = pos.reshape(-1, 1) + tap.reshape(1, -1)
+    index.flags.writeable = False
+    return index
+
+
 def _conv_forward(x: np.ndarray, weights: np.ndarray, bias: np.ndarray | None,
                   stride: int, padding: int):
     """Output and im2col matrix of a batched conv.
 
     `cols` has one row per output position in (n, ho, wo) order and one
-    column per (c_in, kh, kw) tap; the backward reuses it for dW.
+    column per (c_in, kh, kw) tap; the backward reuses it for dW.  It is a
+    view of the input where the window view reshapes without a copy, and
+    otherwise one gather through a cached offset table (Chellapilla, Puri &
+    Simard 2006 unroll convolutions this way).
     """
     c_out, c_in, kh, kw = weights.shape
     n, _, h, w = x.shape
@@ -235,23 +256,28 @@ def _conv_forward(x: np.ndarray, weights: np.ndarray, bias: np.ndarray | None,
     if kh > hp or kw > wp:
         raise ShapeError(f"kernel {kh}x{kw} larger than padded input {hp}x{wp}")
     ho, wo = (hp - kh) // stride + 1, (wp - kw) // stride + 1
-    # A strided view of xp indexed (n, ho, wo, c_in, kh, kw); the reshape copies it.
+    # A strided view of xp indexed (n, ho, wo, c_in, kh, kw).
     s0, s1, s2, s3 = xp.strides
     win = np.ndarray((n, ho, wo, c_in, kh, kw), xp.dtype, xp, 0,
                      (s0, s2 * stride, s3 * stride, s1, s2, s3))
-    cols = win.reshape(n * ho * wo, c_in * kh * kw)
+    try:
+        cols = win.reshape(n * ho * wo, c_in * kh * kw, copy=False)
+    except ValueError:
+        index = _im2col_index(c_in, hp, wp, kh, kw, stride)
+        cols = np.take(xp.reshape(n, -1), index, axis=1).reshape(n * ho * wo, -1)
     y = cols @ weights.reshape(c_out, -1).T
     if bias is not None:
-        y = y + bias
+        y += bias
     return np.ascontiguousarray(y.reshape(n, ho, wo, c_out).transpose(0, 3, 1, 2)), cols
 
 
 def _conv_backward(cols: np.ndarray, x_shape, weights: np.ndarray, stride: int,
-                   padding: int, d_out: np.ndarray):
+                   padding: int, d_out: np.ndarray, need_dx: bool = True):
     """(dx, dw, db) of a conv from its forward's im2col matrix.
 
     dx is accumulated channels-last, one strided add per kernel offset in
-    (u, v) order, and returned as an (n, c_in, h, w) view of that buffer.
+    (u, v) order, and returned as an (n, c_in, h, w) view of that buffer;
+    it is None, and not computed, when `need_dx` is False.
     """
     c_out, c_in, kh, kw = weights.shape
     n, _, h, w = x_shape
@@ -259,6 +285,8 @@ def _conv_backward(cols: np.ndarray, x_shape, weights: np.ndarray, stride: int,
 
     dw = np.dot(d_out.transpose(1, 0, 2, 3).reshape(c_out, -1), cols).reshape(weights.shape)
     db = d_out.sum(axis=(0, 2, 3))
+    if not need_dx:
+        return None, dw, db
 
     dmat = d_out.transpose(0, 2, 3, 1).reshape(n * ho * wo, c_out)
     dcols = (dmat @ weights.reshape(c_out, -1)).reshape(n, ho, wo, c_in, kh, kw)
@@ -408,7 +436,7 @@ class Gradients:
     weights[i] pairs with layers[i] (None for parameterless layers);
     activations[i] is dC/d(outputs[i]) and is None for the head slot, whose
     input gradient lives at the preceding layer.  `wrt_input` is dC/d(x), or
-    None when the pass stopped above the input.
+    None when the pass stopped above the input or was asked not to compute it.
     """
 
     weights: list[LayerParams | None]
@@ -480,12 +508,15 @@ def predict(spec: NetworkSpec, params: list[LayerParams | None], x) -> np.ndarra
 
 
 def backward_collect(spec: NetworkSpec, params: list[LayerParams | None],
-                     trace: ForwardTrace, labels, stop: int = 0) -> Gradients:
+                     trace: ForwardTrace, labels, stop: int = 0,
+                     wrt_input: bool = True) -> Gradients:
     """Backpropagate mean cross-entropy against `labels` through a forward trace.
 
     `stop` is the lowest layer index the pass visits: layers below it get
     no weight gradient, activations[i] is filled for i >= stop - 1 only, and
-    `wrt_input` is None unless stop == 0.  Everything that is filled is
+    `wrt_input` is None unless stop == 0.  With `wrt_input=False` a first
+    conv skips its input gradient, which training never reads, and
+    `Gradients.wrt_input` is None.  Everything that is filled is
     bit-identical to the full pass.
     """
     labels = np.atleast_1d(np.asarray(labels, dtype=np.int64))
@@ -517,7 +548,8 @@ def backward_collect(spec: NetworkSpec, params: list[LayerParams | None],
         x_in = trace.outputs[i - 1] if i > 0 else trace.x
         if layer.kind == CONV2D:
             dx, dw, db = _conv_backward(trace.cols[i], x_in.shape, params[i].weights,
-                                        layer.stride, layer.padding, grad)
+                                        layer.stride, layer.padding, grad,
+                                        i > 0 or wrt_input)
             weight_grads[i] = LayerParams(dw, db)
             grad = dx
         elif layer.kind == RELU:
@@ -535,7 +567,7 @@ def backward_collect(spec: NetworkSpec, params: list[LayerParams | None],
             act_grads[i - 1] = grad
 
     return Gradients(weights=weight_grads, activations=act_grads,
-                     wrt_input=grad if stop == 0 else None, loss=loss)
+                     wrt_input=grad if stop == 0 and wrt_input else None, loss=loss)
 
 
 # ---------------------------------------------------------------------------

@@ -396,23 +396,6 @@ def apply_budgets_to_spec(spec: nn.NetworkSpec, budgets: dict[int, int]) -> nn.N
     return nn.NetworkSpec(tuple(layers), spec.input_dims, spec.num_classes)
 
 
-def apply_supports(ckpt: model_io.Checkpoint,
-                   supports: dict[int, tuple[int, ...]]) -> model_io.Checkpoint:
-    """Structurally prune `ckpt` to the given supports without any refitting.
-
-    Equivalent to zeroing the dropped channels of the original weights; used
-    as the selection-only comparator.
-    """
-    out = ckpt.copy()
-    convs = ckpt.spec.conv_indices()
-    for ordinal, support in sorted(supports.items()):
-        li, prev = convs[ordinal - 1], convs[ordinal - 2]
-        sup = np.asarray(sorted(support), dtype=np.int64)
-        w = out.params[li].weights[:, sup]
-        out = _rewrite(out, prev, li, sup, w, out.params[li].bias)
-    return out
-
-
 def prune_model(uncompressed: model_io.Checkpoint, dataset: model_io.DatasetHandle,
                 config: PruneConfig):
     """Run the full layer-by-layer pipeline; returns (compressed, traces).

@@ -92,10 +92,6 @@ class WeightedSystem:
             self._corr = self.a.T @ self.b
         return self._corr
 
-    def objective(self, beta: np.ndarray, lam: float) -> float:
-        r = self.b - self.a @ beta
-        return float(r @ r + lam * np.abs(beta).sum())
-
 
 @dataclass
 class SelectionResult:
@@ -138,9 +134,12 @@ def _feature_sign_finish(gram: np.ndarray, corr: np.ndarray, beta: np.ndarray,
     |c_j - (G x)_j| <= lam/2 on every inactive live column, and
     stationarity on A within a tolerance relative to the terms' scale.
     Otherwise the inactive live column that violates them most joins A with
-    the sign of its slack.  Gives up after `max_steps` solves, when G_AA is
-    not positive definite, or when stationarity fails; with one step this
-    is a single solve for the sign pattern of `beta`.
+    the sign of its slack.  When the columns of A are dependent (G_AA is
+    not positive definite), beta moves along a null vector of G_AA, which
+    keeps A beta, in the direction that does not raise |beta|_1, until a
+    coefficient reaches zero and leaves A.  Gives up after `max_steps`
+    steps or when stationarity fails; with one step this is a single solve
+    for the sign pattern of `beta`.
     """
     beta = beta.copy()
     signs = np.sign(beta)
@@ -152,7 +151,17 @@ def _feature_sign_finish(gram: np.ndarray, corr: np.ndarray, beta: np.ndarray,
             try:
                 cf = scipy.linalg.cho_factor(g_aa, lower=True)
             except np.linalg.LinAlgError:
-                return None
+                v = np.zeros(len(signs))
+                v[act] = scipy.linalg.eigh(g_aa)[1][:, 0]
+                if signs @ v > 0.0:
+                    v = -v
+                toward = act[v[act] * signs[act] < 0.0]  # never empty: v != 0
+                t = -beta[toward] / v[toward]
+                step = t.min()
+                beta += step * v
+                beta[toward[t == step]] = 0.0
+                signs = np.sign(beta)
+                continue
             new[act] = scipy.linalg.cho_solve(cf, corr[act] - half_lam * signs[act])
             flipped = act[np.sign(new[act]) != signs[act]]
             if len(flipped):

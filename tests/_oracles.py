@@ -5,12 +5,14 @@ Everything here is deliberately written the slow, obviously-correct way
 code with the package internals it verifies.
 """
 
+from dataclasses import replace
 from itertools import combinations
+from pathlib import Path
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from prunekit import nn, pruner
+from prunekit import model_io, nn, pruner
 
 
 def conv2d_loop(x, weights, bias, stride=1, padding=0):
@@ -330,3 +332,29 @@ def extract_probes_loop(uncompressed, compressed, layer_index, dataset, config):
         image_ids=np.array(ids_out, dtype=np.int64),
         locations=np.array(locs_out, dtype=np.int64).reshape(-1, 2),
         exhaustive=ho * wo < config.num_locations)
+
+
+def apply_supports(ckpt, supports):
+    """`ckpt` cut down to the given input-channel supports without any refit.
+
+    Equivalent to zeroing the dropped channels of the original weights; the
+    selection-only comparator for the refit.
+    """
+    layers = list(ckpt.spec.layers)
+    params = nn.copy_params(ckpt.params)
+    convs = ckpt.spec.conv_indices()
+    for ordinal, support in sorted(supports.items()):
+        li, prev = convs[ordinal - 1], convs[ordinal - 2]
+        sup = np.asarray(sorted(support), dtype=np.int64)
+        layers[prev] = replace(layers[prev], out_channels=len(sup))
+        layers[li] = replace(layers[li], in_channels=len(sup))
+        params[prev] = nn.LayerParams(params[prev].weights[sup], params[prev].bias[sup])
+        params[li] = nn.LayerParams(params[li].weights[:, sup], params[li].bias)
+    spec = nn.NetworkSpec(tuple(layers), ckpt.spec.input_dims, ckpt.spec.num_classes)
+    return model_io.Checkpoint(spec, params, dict(ckpt.metadata))
+
+
+def save_config(path, values):
+    """Write `key = value` lines in key order, the format `load_config` reads."""
+    lines = [f"{k} = {values[k]}" for k in sorted(values)]
+    Path(path).write_text("\n".join(lines) + "\n")

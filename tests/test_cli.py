@@ -109,6 +109,7 @@ class TestExperimentAndReport:
         assert run(["report", "--file", str(outdir / "table.json")]) == 0
         printed = capsys.readouterr().out
         assert "cpli" in printed and "magnitude" in printed
+        assert printed == (outdir / "table.txt").read_text()
 
         report_files = sorted(outdir.glob("report_*.json"))
         assert run(["report", "--file", str(report_files[0])]) == 0

@@ -309,6 +309,55 @@ class TestRunExperiment:
             self.run(spec, train_data, test_data, plan, out_dir=tmp_path / "exp")
         assert not (tmp_path / "exp").exists()
 
+    def test_empty_test_split_rejected_before_any_training(self, spec, train_data,
+                                                            monkeypatch):
+        def no_training(*args, **kwargs):
+            raise AssertionError("a baseline was trained before the split was checked")
+
+        monkeypatch.setattr(harness, "train", no_training)
+        empty = model_io.DatasetHandle(np.zeros((0, 1, 12, 12)), np.zeros(0, dtype=int), 4)
+        plan = harness.ExperimentPlan.grid(["cpli"], [0])
+        with pytest.raises(ValueError, match="empty split"):
+            self.run(spec, train_data, empty, plan)
+
+    def test_each_checkpoint_evaluated_once(self, spec, train_data, test_data,
+                                            tmp_path, monkeypatch):
+        evaluated, tuned = [], []
+        evaluate, finetune = harness.evaluate, harness.finetune
+
+        def counting_evaluate(ckpt, data, *args, **kwargs):
+            evaluated.append(ckpt)
+            return evaluate(ckpt, data, *args, **kwargs)
+
+        def keeping_finetune(*args, **kwargs):
+            tuned.append(finetune(*args, **kwargs))
+            return tuned[-1]
+
+        monkeypatch.setattr(harness, "evaluate", counting_evaluate)
+        monkeypatch.setattr(harness, "finetune", keeping_finetune)
+        cells = [harness.ExperimentCell(v, 0, 4) for v in pruner.VARIANTS]
+        cells.append(harness.ExperimentCell(pruner.VARIANT_CPLI, 0, 1))
+        result = self.run(spec, train_data, test_data,
+                          harness.ExperimentPlan(cells=tuple(cells)), tmp_path)
+        # One baseline, then a pruned and a fine-tuned checkpoint per cell.
+        assert len(cells) == 6 and len(evaluated) == 13
+        baseline = model_io.load_checkpoint(tmp_path / "baseline_seed0.ckpt")
+        for key, ckpt in zip(sorted(result.reports), tuned):
+            report = result.reports[key]
+            assert report.accuracy_baseline == evaluate(baseline, test_data)
+            assert report.accuracy_finetuned == evaluate(ckpt, test_data)
+
+    def test_experiment_dict_round_trip(self):
+        row = harness.ExperimentRow(
+            variant="cpli", num_locations=10, seeds=(0, 2),
+            accuracy_finetuned=(0.75, 0.5), accuracy_drop=(0.125, -0.25),
+            accuracy_finetuned_mean=0.625, accuracy_drop_mean=-0.0625,
+            compression_ratio_mean=2.0625)
+        result = harness.ExperimentResult(rows=[row], reports={},
+                                          baseline_accuracy={0: 0.625, 2: 0.75})
+        back = harness.experiment_from_dict(harness.experiment_to_dict(result))
+        assert back == result
+
     def test_artifacts_written_and_deterministic(self, spec, train_data,
                                                  test_data, tmp_path):
         plan = harness.ExperimentPlan.grid(["cpli"], [0])

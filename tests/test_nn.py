@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
+from numpy.lib.stride_tricks import sliding_window_view
 
 from prunekit import harness, model_io, nn
 
@@ -52,6 +53,30 @@ class TestConv2dForward:
             nn.conv2d_forward(x, w, np.zeros(2))
 
 
+class TestIm2col:
+    @given(st.integers(0, 2 ** 32 - 1), st.sampled_from([1, 32, 64]), st.integers(1, 4),
+           st.sampled_from([(1, 1), (3, 2), (3, 3)]), st.sampled_from([1, 2]),
+           st.integers(0, 2))
+    def test_cols_equal_the_window_copy_bitwise(self, seed, n, c_in, kernel, stride,
+                                                padding):
+        rng = np.random.default_rng(seed)
+        kh, kw = kernel
+        h = int(rng.integers(max(1, kh - 2 * padding), 9))
+        w = int(rng.integers(max(1, kw - 2 * padding), 9))
+        x = rng.normal(size=(n, c_in, h, w))
+        weights = rng.normal(size=(2, c_in, kh, kw))
+        xp = np.pad(x, ((0, 0), (0, 0), (padding, padding), (padding, padding)))
+        win = sliding_window_view(xp, (kh, kw), axis=(2, 3))[:, :, ::stride, ::stride]
+        want = win.transpose(0, 2, 3, 1, 4, 5).reshape(-1, c_in * kh * kw)
+        _, cols = nn._conv_forward(x, weights, None, stride, padding)
+        assert cols.shape == want.shape and cols.tobytes() == want.tobytes()
+        # The second call finds its offset table (if it needs one) in the cache.
+        misses = nn._im2col_index.cache_info().misses
+        _, again = nn._conv_forward(x, weights, None, stride, padding)
+        assert nn._im2col_index.cache_info().misses == misses
+        assert again.tobytes() == want.tobytes()
+
+
 class TestConv2dBackward:
     @given(st.integers(0, 2 ** 32 - 1), st.sampled_from([1, 32]), st.sampled_from([1, 2]),
            st.integers(0, 2), st.sampled_from([(1, 1), (3, 2)]))
@@ -79,8 +104,11 @@ class TestConv2dBackward:
         forward = nn._conv_forward
         monkeypatch.setattr(nn, "_conv_forward", lambda x, w, b, s, p: (
             forward(x, w, b, s, p)[0], x))
-        monkeypatch.setattr(nn, "_conv_backward", lambda x, x_shape, w, s, p, d: (
-            conv_backward_reference(x, w, s, p, d)))
+        def reference_backward(x, x_shape, w, s, p, d, need_dx=True):
+            dx, dw, db = conv_backward_reference(x, w, s, p, d)
+            return (dx if need_dx else None), dw, db
+
+        monkeypatch.setattr(nn, "_conv_backward", reference_backward)
         model_io.save_checkpoint(tmp_path / "reference.ckpt",
                                  harness.train(spec, data, cfg))
         assert ((tmp_path / "fast.ckpt").read_bytes()
@@ -278,6 +306,24 @@ class TestBackwardStop:
                 else:
                     assert part.weights[i].weights.tobytes() == w.weights.tobytes()
                     assert part.weights[i].bias.tobytes() == w.bias.tobytes()
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_skipped_input_gradient_leaves_the_rest_bitwise(self, seed):
+        rng = np.random.default_rng(seed)
+        spec, params, x, labels = random_small_net(rng)
+        trace = nn.forward_collect(spec, params, x)
+        full = nn.backward_collect(spec, params, trace, labels)
+        part = nn.backward_collect(spec, params, trace, labels, wrt_input=False)
+        assert full.wrt_input is not None and part.wrt_input is None
+        assert part.loss == full.loss
+        for g, f in zip(part.activations, full.activations):
+            assert (g is None and f is None) or g.tobytes() == f.tobytes()
+        for g, f in zip(part.weights, full.weights):
+            if f is None:
+                assert g is None
+            else:
+                assert g.weights.tobytes() == f.weights.tobytes()
+                assert g.bias.tobytes() == f.bias.tobytes()
 
     def test_stop_out_of_range(self, rng):
         spec = tiny_spec()

@@ -6,7 +6,7 @@ import pytest
 
 from prunekit import harness, model_io, nn, pruner, solvers
 
-from _oracles import extract_probes_loop, subset_residual
+from _oracles import apply_supports, extract_probes_loop, subset_residual
 
 
 SYNTH = dict(classes=10, dims=(1, 12, 12), noise=0.25, amplitude=0.8, jitter=1.2)
@@ -391,7 +391,7 @@ class TestPruneModel:
                            seed=2)
         compressed, traces = pruner.prune_model(trained, synth_data, cfg)
         supports = {t.conv_ordinal: t.support for t in traces}
-        zero_fill = pruner.apply_supports(trained, supports)
+        zero_fill = apply_supports(trained, supports)
         assert zero_fill.spec == compressed.spec
         acc_refit = harness.evaluate(compressed, synth_test)
         acc_zero = harness.evaluate(zero_fill, synth_test)

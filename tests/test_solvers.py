@@ -30,12 +30,6 @@ class TestWeightedSystem:
         with pytest.raises(ValueError, match="2-d design"):
             solvers.WeightedSystem(rng.normal(size=4), rng.normal(size=4))
 
-    def test_objective_definition(self, rng):
-        sys_ = random_system(rng)
-        beta = rng.normal(size=sys_.cols)
-        assert sys_.objective(beta, 0.7) == pytest.approx(
-            lasso_objective(sys_.a, sys_.b, beta, 0.7), abs=1e-12)
-
 
 class TestLassoCoordinateDescent:
     def test_full_shrinkage_threshold(self, rng):
@@ -72,7 +66,7 @@ class TestLassoCoordinateDescent:
             lin = -2.0 * (corr[0] * b1 + corr[1] * grid)
             obj = bb + quad + lin + lam * (abs(b1) + np.abs(grid))
             best = min(best, obj.min())
-        assert abs(sys_.objective(beta, lam) - best) < 1e-4
+        assert abs(lasso_objective(sys_.a, sys_.b, beta, lam) - best) < 1e-4
 
     def test_four_column_convex_solver_oracle(self):
         cvxpy = pytest.importorskip("cvxpy")
@@ -87,7 +81,7 @@ class TestLassoCoordinateDescent:
         prob = cvxpy.Problem(cvxpy.Minimize(
             cvxpy.sum_squares(b - a @ x) + lam * cvxpy.norm1(x)))
         prob.solve()
-        assert abs(sys_.objective(beta, lam) - prob.value) < 1e-4
+        assert abs(lasso_objective(sys_.a, sys_.b, beta, lam) - prob.value) < 1e-4
 
     def test_nan_rejected(self, rng):
         a = rng.normal(size=(5, 3))
@@ -119,9 +113,10 @@ class TestLassoCoordinateDescent:
         rng = np.random.default_rng(seed)
         sys_ = random_system(rng, rows=15, cols=5)
         beta_init = rng.normal(size=5)
-        before = sys_.objective(beta_init, lam)
+        before = lasso_objective(sys_.a, sys_.b, beta_init, lam)
         beta, _ = solvers.lasso_coordinate_descent(sys_, lam, beta_init=beta_init)
-        assert sys_.objective(beta, lam) <= before + 1e-9 * max(1.0, before)
+        after = lasso_objective(sys_.a, sys_.b, beta, lam)
+        assert after <= before + 1e-9 * max(1.0, before)
 
     @given(st.integers(0, 2 ** 32 - 1))
     @settings(max_examples=20)
@@ -130,11 +125,11 @@ class TestLassoCoordinateDescent:
         sys_ = random_system(rng, rows=20, cols=6)
         lam = 0.3
         beta = rng.normal(size=6)
-        prev = sys_.objective(beta, lam)
+        prev = lasso_objective(sys_.a, sys_.b, beta, lam)
         for _ in range(5):
             beta, _ = solvers.lasso_coordinate_descent(sys_, lam, beta_init=beta,
                                                        max_sweeps=1, tol=0.0)
-            cur = sys_.objective(beta, lam)
+            cur = lasso_objective(sys_.a, sys_.b, beta, lam)
             assert cur <= prev + 1e-9 * max(1.0, prev)
             prev = cur
 
@@ -270,6 +265,28 @@ class TestIdenticalColumns:
         viol, scale = kkt_violation(a, b, res.beta, res.lambda_final)
         assert viol <= 1e-9 * scale
 
+    @pytest.mark.parametrize("seed", range(5, 9))
+    @pytest.mark.parametrize("scaled", [False, True])
+    def test_dependent_column_search_is_fast_and_exact(self, seed, scaled):
+        # Column 5 is the sum of columns 2 and 3, so G_AA is singular once
+        # all three are active.
+        rng = np.random.default_rng(seed)
+        if scaled:
+            a = rng.normal(size=(30, 8)) * rng.uniform(0.2, 3.0, size=8)
+            a[:, 5] = a[:, 2] + a[:, 3]
+            b = a @ rng.normal(size=8) + 0.3 * rng.normal(size=30)
+        else:
+            a = rng.normal(size=(30, 8))
+            a[:, 5] = a[:, 2] + a[:, 3]
+            b = rng.normal(size=30)
+        sys_ = solvers.WeightedSystem(a, b)
+        t0 = time.perf_counter()
+        res = solvers.lambda_search(sys_, 4)
+        assert time.perf_counter() - t0 < 0.1
+        assert res.converged and len(res.support) == 4
+        viol, scale = kkt_violation(a, b, res.beta, res.lambda_final)
+        assert viol <= 1e-9 * scale
+
     @pytest.mark.parametrize("seed", range(6))
     def test_exact_tie_in_backfill_goes_to_the_lowest_index(self, seed):
         rng = np.random.default_rng(seed)
@@ -290,7 +307,8 @@ class TestIdenticalColumns:
         beta, _ = solvers.lasso_coordinate_descent(sys_, 0.1, beta_init=start,
                                                    max_sweeps=1, tol=0.0)
         assert beta[3] == 0.0
-        assert sys_.objective(beta, 0.1) <= sys_.objective(start, 0.1)
+        assert (lasso_objective(sys_.a, sys_.b, beta, 0.1)
+                <= lasso_objective(sys_.a, sys_.b, start, 0.1))
 
 
 class TestLambdaSearch:
