@@ -14,7 +14,6 @@ diagnostic line on stderr otherwise.
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 from pathlib import Path
 
@@ -35,9 +34,10 @@ def _parse_ints(text: str) -> tuple[int, ...]:
 
 
 def _parse_bool(v) -> bool:
-    if isinstance(v, bool):
-        return v
-    return str(v).strip().lower() in ("1", "true", "yes", "on")
+    text = str(v).strip().lower()
+    if text not in ("1", "true", "yes", "on", "0", "false", "no", "off"):
+        raise ValueError(f"expected one of 1/true/yes/on/0/false/no/off, got {v!r}")
+    return text in ("1", "true", "yes", "on")
 
 
 def _parse_budgets(text: str) -> dict[int, int]:
@@ -50,41 +50,69 @@ def _parse_budgets(text: str) -> dict[int, int]:
     return out
 
 
+_DATASET_KEYS = {"synth": ("seed", "count", "classes", "dims", "noise", "amplitude",
+                           "jitter"), "idx": ("images", "labels"), "cifar": ("path",)}
+
+
 def parse_dataset(text: str, split: str = "") -> model_io.DatasetHandle:
     kind, _, rest = text.partition(":")
-    opts = dict(kv.split("=", 1) for kv in rest.split(",") if kv) if rest else {}
+    if kind not in _DATASET_KEYS:
+        raise ValueError(f"unknown dataset descriptor {text!r} "
+                         "(expected synth:, idx:, or cifar:)")
+    takes = f"{kind}: takes {', '.join(_DATASET_KEYS[kind])}"
+    tokens = [t for t in rest.split(",") if t]
+    bad = [t for t in tokens if "=" not in t or t.split("=")[0] not in _DATASET_KEYS[kind]]
+    if bad:
+        raise ValueError(f"bad dataset token {bad[0]!r} ({takes} as key=value)")
+    opts = dict(t.split("=", 1) for t in tokens)
     if kind == "synth":
-        return model_io.synth_dataset(
-            seed=int(opts.get("seed", 0)), count=int(opts.get("count", 2000)),
-            classes=int(opts.get("classes", 4)),
-            dims=_parse_dims(opts.get("dims", "1x16x16")),
-            noise=float(opts.get("noise", 0.25)),
-            amplitude=float(opts.get("amplitude", 0.9)),
-            jitter=float(opts.get("jitter", 1.5)), split=split)
+        try:
+            return model_io.synth_dataset(
+                seed=int(opts.get("seed", 0)), count=int(opts.get("count", 2000)),
+                classes=int(opts.get("classes", 4)),
+                dims=_parse_dims(opts.get("dims", "1x16x16")),
+                noise=float(opts.get("noise", 0.25)),
+                amplitude=float(opts.get("amplitude", 0.9)),
+                jitter=float(opts.get("jitter", 1.5)), split=split)
+        except ValueError as exc:
+            raise ValueError(f"dataset {text!r}: {exc} ({takes})") from None
+    missing = [k for k in _DATASET_KEYS[kind] if k not in opts]
+    if missing:
+        raise ValueError(f"dataset {text!r} has no {missing[0]!r} ({takes})")
     if kind == "idx":
         return model_io.load_idx(opts["images"], opts["labels"], split)
-    if kind == "cifar":
-        return model_io.load_cifar_binary(opts["path"], split)
-    raise ValueError(f"unknown dataset descriptor {text!r} "
-                     "(expected synth:, idx:, or cifar:)")
+    return model_io.load_cifar_binary(opts["path"], split)
 
 
 class _Options:
-    """Flag values backed by an optional config file; flags win."""
+    """Flag values backed by an optional config file; flags win.
+
+    A config key must be a flag name of the subcommand, or one of the
+    training keys that `experiment` reads without a flag.
+    """
 
     def __init__(self, args: argparse.Namespace):
         self.args = vars(args)
         self.file = {}
         if self.args.get("config"):
             self.file = model_io.load_config(self.args["config"])
+        known = set(self.args) - {"command", "func", "config"}
+        if args.command == "experiment":
+            known |= {"momentum", "weight_decay", "no_nesterov"}
+        unknown = sorted(set(self.file) - known)
+        if unknown:
+            raise ValueError(f"{self.args['config']}: unknown key {unknown[0]!r} "
+                             f"for prunekit {args.command}")
 
     def get(self, key: str, default=None, convert=None):
         v = self.args.get(key)
         if v is None:
             v = self.file.get(key, default)
-        if v is None:
-            return None
-        return convert(v) if convert else v
+        try:
+            return convert(v) if convert and v is not None else v
+        except ValueError as exc:
+            # Flags arrive converted, so only a config entry can fail here.
+            raise ValueError(f"{self.args['config']}: {key}: {exc}") from None
 
 
 def _train_config(opt: _Options, lr_default: float, epochs_default: int) -> harness.TrainConfig:
@@ -144,10 +172,10 @@ def cmd_prune(args) -> int:
     model_io.save_checkpoint(args.out, pruned)
     print(harness.format_report(report))
     print(f"timings: " + " ".join(f"{k}={v:.2f}s" for k, v in report.timings.items()))
-    if args.report:
-        harness.write_report(args.report, report)
-    if args.trace:
-        pruner.write_traces(args.trace, traces)
+    if opt.get("report"):
+        harness.write_report(opt.get("report"), report)
+    if opt.get("trace"):
+        pruner.write_traces(opt.get("trace"), traces)
     print(f"saved {args.out}")
     return 0
 
@@ -205,12 +233,13 @@ def cmd_report(args) -> int:
     if path.suffix == ".txt":
         print(path.read_text(), end="")
         return 0
-    payload = json.loads(path.read_text())
-    if "rows" in payload:
-        print(harness.format_experiment_table(harness.experiment_from_dict(payload)),
-              end="")
+    payload = model_io.load_json(path)
+    if isinstance(payload, dict) and "rows" in payload:
+        result = model_io.from_json(harness.ExperimentResult, payload, path)
+        print(harness.format_experiment_table(result), end="")
     else:
-        print(harness.format_report(harness.report_from_dict(payload)))
+        print(harness.format_report(model_io.from_json(harness.CompressionReport,
+                                                       payload, path)))
     return 0
 
 

@@ -7,7 +7,6 @@ files.  Wall-clock timings are collected in memory but never serialized.
 
 from __future__ import annotations
 
-import json
 import time
 from dataclasses import dataclass, field, replace
 from pathlib import Path
@@ -174,7 +173,8 @@ class CompressionReport:
     """Everything a pruning run produced, numbers-first.
 
     `accuracy_drop` is finetuned minus baseline accuracy, so positive means
-    the compressed model improved.  Timings live only in memory.
+    the compressed model improved.  Timings live only in memory.  The other
+    fields are the keys of the report file (see `model_io.write_json`).
     """
 
     variant: str
@@ -188,7 +188,7 @@ class CompressionReport:
     accuracy_pruned: float | None = None
     accuracy_finetuned: float | None = None
     accuracy_drop: float | None = None
-    timings: dict = field(default_factory=dict)
+    timings: dict = field(default_factory=dict, metadata={"written": False})
 
     def with_finetuned(self, accuracy: float) -> "CompressionReport":
         drop = None
@@ -197,44 +197,12 @@ class CompressionReport:
         return replace(self, accuracy_finetuned=accuracy, accuracy_drop=drop)
 
 
-def report_to_dict(report: CompressionReport) -> dict:
-    return {
-        "variant": report.variant,
-        "seed": report.seed,
-        "num_locations": report.num_locations,
-        "flops_before": report.flops_before,
-        "flops_after": report.flops_after,
-        "compression_ratio": report.compression_ratio,
-        "accuracy_baseline": report.accuracy_baseline,
-        "accuracy_pruned": report.accuracy_pruned,
-        "accuracy_finetuned": report.accuracy_finetuned,
-        "accuracy_drop": report.accuracy_drop,
-        "layers": [{"layer_index": s.layer_index, "conv_ordinal": s.conv_ordinal,
-                    "kept": s.kept, "total": s.total,
-                    "flops_before": s.flops_before, "flops_after": s.flops_after}
-                   for s in report.layers],
-    }
-
-
-def report_from_dict(d: dict) -> CompressionReport:
-    return CompressionReport(
-        variant=d["variant"], seed=d["seed"], num_locations=d["num_locations"],
-        layers=[LayerPruneStat(**s) for s in d["layers"]],
-        flops_before=d["flops_before"], flops_after=d["flops_after"],
-        compression_ratio=d["compression_ratio"],
-        accuracy_baseline=d["accuracy_baseline"],
-        accuracy_pruned=d["accuracy_pruned"],
-        accuracy_finetuned=d["accuracy_finetuned"],
-        accuracy_drop=d["accuracy_drop"])
-
-
 def write_report(path, report: CompressionReport) -> None:
-    Path(path).write_text(json.dumps(report_to_dict(report), sort_keys=True,
-                                     indent=2) + "\n")
+    model_io.write_json(path, report)
 
 
 def read_report(path) -> CompressionReport:
-    return report_from_dict(json.loads(Path(path).read_text()))
+    return model_io.from_json(CompressionReport, model_io.load_json(path), path)
 
 
 def format_report(report: CompressionReport) -> str:
@@ -250,12 +218,8 @@ def format_report(report: CompressionReport) -> str:
         f"pruned={pct(report.accuracy_pruned)} "
         f"finetuned={pct(report.accuracy_finetuned)} "
         f"drop={pct(report.accuracy_drop)}",
-        "layer\tconv\tkept\ttotal\tflops_before\tflops_after",
     ]
-    for s in report.layers:
-        lines.append(f"{s.layer_index}\t{s.conv_ordinal}\t{s.kept}\t{s.total}"
-                     f"\t{s.flops_before}\t{s.flops_after}")
-    return "\n".join(lines)
+    return "\n".join(lines + model_io.tsv_lines(LayerPruneStat, report.layers))
 
 
 def prune(ckpt: model_io.Checkpoint, probe_data: model_io.DatasetHandle,
@@ -333,9 +297,13 @@ class ExperimentRow:
 
 @dataclass
 class ExperimentResult:
+    """An experiment's outcome; `table.json` holds all of it but the
+    per-cell reports."""
+
     rows: list[ExperimentRow]
-    reports: dict[tuple, CompressionReport]
     baseline_accuracy: dict[int, float]
+    reports: dict[tuple, CompressionReport] = field(default_factory=dict,
+                                                    metadata={"written": False})
 
     def row(self, variant: str, num_locations: int = 10) -> ExperimentRow:
         for r in self.rows:
@@ -413,38 +381,8 @@ def run_experiment(plan: ExperimentPlan, spec: nn.NetworkSpec,
                            for s in sorted(baselines)})
     if out_path is not None:
         (out_path / "table.txt").write_text(format_experiment_table(result))
-        (out_path / "table.json").write_text(
-            json.dumps(experiment_to_dict(result), sort_keys=True, indent=2) + "\n")
+        model_io.write_json(out_path / "table.json", result)
     return result
-
-
-def experiment_to_dict(result: ExperimentResult) -> dict:
-    return {
-        "baseline_accuracy": {str(k): v for k, v in result.baseline_accuracy.items()},
-        "rows": [{
-            "variant": r.variant, "num_locations": r.num_locations,
-            "seeds": list(r.seeds),
-            "accuracy_finetuned": list(r.accuracy_finetuned),
-            "accuracy_drop": list(r.accuracy_drop),
-            "accuracy_finetuned_mean": r.accuracy_finetuned_mean,
-            "accuracy_drop_mean": r.accuracy_drop_mean,
-            "compression_ratio_mean": r.compression_ratio_mean,
-        } for r in result.rows],
-    }
-
-
-def experiment_from_dict(d: dict) -> ExperimentResult:
-    """Inverse of `experiment_to_dict`; per-cell reports are not part of it."""
-    rows = [ExperimentRow(
-        variant=r["variant"], num_locations=r["num_locations"],
-        seeds=tuple(r["seeds"]), accuracy_finetuned=tuple(r["accuracy_finetuned"]),
-        accuracy_drop=tuple(r["accuracy_drop"]),
-        accuracy_finetuned_mean=r["accuracy_finetuned_mean"],
-        accuracy_drop_mean=r["accuracy_drop_mean"],
-        compression_ratio_mean=r["compression_ratio_mean"]) for r in d["rows"]]
-    return ExperimentResult(
-        rows=rows, reports={},
-        baseline_accuracy={int(k): v for k, v in d["baseline_accuracy"].items()})
 
 
 def format_experiment_table(result: ExperimentResult) -> str:

@@ -1,4 +1,5 @@
-"""Deterministic persistence: checkpoints, dataset loaders, synthetic data.
+"""Deterministic persistence: checkpoints, dataset loaders, synthetic data,
+and the record codec behind the trace, report and table files.
 
 Checkpoint container layout (version 1):
 
@@ -14,7 +15,11 @@ bit-identical, which the pruning pipeline depends on.
 
 from __future__ import annotations
 
+import dataclasses
+import functools
 import json
+import types
+import typing
 import zlib
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -378,3 +383,156 @@ def load_config(path) -> dict[str, str]:
         out[key.strip()] = value.strip()
     return out
 
+
+
+
+
+# ---------------------------------------------------------------------------
+# Records: trace, report and table formats, derived from their dataclasses
+# ---------------------------------------------------------------------------
+# Fields are written in order, under `metadata["name"]` or their own name.
+# Metadata "written": False keeps a field in memory only, and "optional":
+# True marks a trailing column that older files lack; both read back as
+# their default.  An `init=False` field is derived, and checked on read.
+
+@functools.lru_cache(maxsize=None)
+def _record_fields(cls) -> tuple:
+    """(field, written name, type) for each written field of `cls`."""
+    hints = typing.get_type_hints(cls)
+    return tuple((f, f.metadata.get("name", f.name), hints[f.name])
+                 for f in dataclasses.fields(cls) if f.metadata.get("written", True))
+
+
+def _nullable(tp):
+    """X for the type `X | None`, else None."""
+    union = typing.get_origin(tp) in (typing.Union, types.UnionType)
+    return typing.get_args(tp)[0] if union else None
+
+
+def to_json(record) -> dict:
+    """A record as JSON: tuples as lists, dict keys as strings (which
+    `write_json` sorts as strings), numbers as plain ints and floats."""
+    return {name: _to_json(getattr(record, f.name), tp)
+            for f, name, tp in _record_fields(type(record))}
+
+
+def _to_json(value, tp):
+    origin, args = typing.get_origin(tp), typing.get_args(tp)
+    if value is None or dataclasses.is_dataclass(tp):
+        return None if value is None else to_json(value)
+    if origin in (list, tuple):
+        return [_to_json(v, args[0]) for v in value]
+    if origin is dict:
+        return {str(k): _to_json(v, args[1]) for k, v in value.items()}
+    return (_nullable(tp) or tp)(value)  # also turns numpy scalars into Python ones
+
+
+def from_json(tp, obj, where):
+    """Inverse of `to_json` for type `tp`.  Malformed input raises a
+    one-line FormatError that starts with `where` and names the key."""
+    if obj is None and _nullable(tp):
+        return None
+    tp = _nullable(tp) or tp
+    kind = dict if dataclasses.is_dataclass(tp) else typing.get_origin(tp) or tp
+    args = typing.get_args(tp)
+    if not isinstance(obj, {tuple: list, float: (int, float)}.get(kind, kind)) \
+            or isinstance(obj, bool) != (tp is bool):
+        raise FormatError(f"{where}: expected {kind.__name__}, got "
+                          f"{type(obj).__name__} {obj!r:.40}")
+    if kind in (list, tuple):
+        return kind(from_json(args[0], v, f"{where}[{i}]") for i, v in enumerate(obj))
+    if kind is not dict:
+        try:
+            return tp(obj)
+        except OverflowError:  # an integer too large for a float
+            raise FormatError(f"{where}: {obj!r:.40} is out of range") from None
+    if not dataclasses.is_dataclass(tp):
+        return {from_json(args[0], _from_cell(k, args[0]), f"{where}: key"):
+                from_json(args[1], v, f"{where}[{k}]") for k, v in obj.items()}
+    fields = _record_fields(tp)
+    missing = [n for f, n, _ in fields if n not in obj and not f.metadata.get("optional")]
+    unknown = [k for k in obj if k not in [n for _, n, _ in fields]]
+    if missing or unknown:
+        raise FormatError(f"{where}: {'missing' if missing else 'unknown'} key "
+                          f"{(missing or unknown)[0]!r}")
+    values = {f.name: from_json(ftp, obj[n], f"{where}: {n}")
+              for f, n, ftp in fields if n in obj}
+    record = tp(**{f.name: values[f.name] for f, _, _ in fields
+                   if f.init and f.name in values})
+    for f, n, _ in fields:
+        if not f.init and f.name in values and getattr(record, f.name) != values[f.name]:
+            raise FormatError(f"{where}: {n} is {values[f.name]!r}, but the other "
+                              f"fields give {getattr(record, f.name)!r}")
+    return record
+
+
+def load_json(path):
+    """A file's parsed JSON; anything else raises a one-line FormatError."""
+    try:
+        return json.loads(Path(path).read_text())
+    except ValueError as exc:  # also bytes that are not text
+        raise FormatError(f"{path}: not JSON ({exc})") from None
+
+
+def write_json(path, record) -> None:
+    Path(path).write_text(json.dumps(to_json(record), sort_keys=True, indent=2) + "\n")
+
+
+def _to_cell(value) -> str:
+    """A JSON value as a row cell: null and [] are `-`, arrays comma-joined,
+    booleans `0`/`1`."""
+    if isinstance(value, list):
+        return ",".join(map(_to_cell, value)) or "-"
+    if isinstance(value, bool):
+        return str(int(value))
+    return "-" if value is None else str(value)
+
+
+def _from_cell(text: str, tp):
+    """The JSON value a row cell holds.  A cell that does not parse stays a
+    string, which `from_json` then rejects."""
+    if text == "-" and _nullable(tp):
+        return None
+    tp = _nullable(tp) or tp
+    if typing.get_origin(tp) is tuple:
+        item = typing.get_args(tp)[0]
+        return [] if text == "-" else [_from_cell(s, item) for s in text.split(",")]
+    if tp is bool:
+        return {"0": False, "1": True}.get(text, text)
+    try:
+        return tp(text)
+    except ValueError:
+        return text
+
+
+def tsv_lines(cls, records) -> list[str]:
+    """A header of column names, then one tab-separated row per record."""
+    return (["\t".join(name for _, name, _ in _record_fields(cls))]
+            + ["\t".join(map(_to_cell, to_json(r).values())) for r in records])
+
+
+def write_tsv(path, cls, records) -> None:
+    Path(path).write_text("\n".join(tsv_lines(cls, records)) + "\n")
+
+
+def read_tsv(path, cls, kind: str) -> list:
+    """Inverse of `write_tsv`; the header may lack trailing optional columns.
+    Malformed input raises a one-line FormatError naming the file and line,
+    and `kind` names the file type when the header is wrong."""
+    lines = Path(path).read_text(errors="replace").splitlines()
+    fields = _record_fields(cls)
+    names = [n for _, n, _ in fields]
+    optional = sum(bool(f.metadata.get("optional")) for f, _, _ in fields)
+    header = lines[0].split("\t") if lines else []
+    if len(header) < len(names) - optional or header != names[:len(header)]:
+        raise FormatError(f"{path}: missing {kind} header")
+    column_types = {n: tp for _, n, tp in fields}
+    out = []
+    for lineno, line in enumerate(lines[1:], start=2):
+        cells = line.split("\t")
+        if len(cells) != len(header):
+            raise FormatError(f"{path}:{lineno}: expected {len(header)} columns, "
+                              f"got {len(cells)}")
+        row = {n: _from_cell(text, column_types[n]) for n, text in zip(header, cells)}
+        out.append(from_json(cls, row, f"{path}:{lineno}"))
+    return out

@@ -14,8 +14,7 @@ and a weight-magnitude baseline.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
-from pathlib import Path
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -299,24 +298,30 @@ class PruneTrace:
     """One line of the pruning log: what was kept at one conv layer and why.
 
     `converged` is False when the LASSO solve at `lambda_final` ran out of
-    `max_sweeps`; magnitude selection has no solve and reports True.
+    `max_sweeps`; magnitude selection has no solve and reports True.  The
+    fields, in order, are the trace file's columns (see `model_io.write_tsv`);
+    `kept` is derived from `support`.
     """
 
-    layer_index: int
-    conv_ordinal: int
+    layer_index: int = field(metadata={"name": "layer"})
+    conv_ordinal: int = field(metadata={"name": "conv"})
     variant: str
     budget: int
-    lambda_final: float | None
+    lambda_final: float | None = field(metadata={"name": "lambda"})
+    kept: int = field(init=False)
     support: tuple[int, ...]
     residual_before: float
     residual_after: float
     damping: float
-    exhaustive_locations: bool = False
-    budget_warning: bool = False
+    exhaustive_locations: bool = field(default=False, metadata={"name": "exhaustive"})
+    budget_warning: bool = field(default=False, metadata={"name": "warning"})
     normal_residual: float = 0.0
     weight_norm: float = 0.0
     rhs_scale: float = 0.0
-    converged: bool = True
+    converged: bool = field(default=True, metadata={"optional": True})
+
+    def __post_init__(self):
+        self.kept = len(self.support)
 
 
 def _rewrite(ckpt: model_io.Checkpoint, prev_index: int, layer_index: int,
@@ -464,51 +469,11 @@ def _prune_stage(uncompressed: model_io.Checkpoint, compressed: model_io.Checkpo
 # Trace files: line-delimited tabular text
 # ---------------------------------------------------------------------------
 
-_TRACE_COLUMNS = ("layer", "conv", "variant", "budget", "lambda", "kept",
-                  "support", "residual_before", "residual_after", "damping",
-                  "exhaustive", "warning", "normal_residual", "weight_norm",
-                  "rhs_scale", "converged")
-
-
-def _fmt_float(x: float | None) -> str:
-    return "-" if x is None else repr(float(x))
-
-
 def write_traces(path, traces: list[PruneTrace]) -> None:
-    lines = ["\t".join(_TRACE_COLUMNS)]
-    for t in traces:
-        lines.append("\t".join((
-            str(t.layer_index), str(t.conv_ordinal), t.variant, str(t.budget),
-            _fmt_float(t.lambda_final), str(len(t.support)),
-            ",".join(str(j) for j in t.support) or "-",
-            _fmt_float(t.residual_before), _fmt_float(t.residual_after),
-            _fmt_float(t.damping), str(int(t.exhaustive_locations)),
-            str(int(t.budget_warning)), _fmt_float(t.normal_residual),
-            _fmt_float(t.weight_norm), _fmt_float(t.rhs_scale),
-            str(int(t.converged)))))
-    Path(path).write_text("\n".join(lines) + "\n")
+    model_io.write_tsv(path, PruneTrace, traces)
 
 
 def read_traces(path) -> list[PruneTrace]:
     """Read a trace file; files written before the `converged` column existed
     still load, with every row read as converged."""
-    lines = Path(path).read_text().splitlines()
-    header = tuple(lines[0].split("\t")) if lines else ()
-    if header not in (_TRACE_COLUMNS, _TRACE_COLUMNS[:-1]):
-        raise model_io.FormatError(f"{path}: missing trace header")
-    out = []
-    for line in lines[1:]:
-        f = line.split("\t")
-        if len(f) != len(header):
-            raise model_io.FormatError(f"{path}: expected {len(header)} "
-                                       f"columns, got {len(f)}")
-        out.append(PruneTrace(
-            layer_index=int(f[0]), conv_ordinal=int(f[1]), variant=f[2],
-            budget=int(f[3]), lambda_final=None if f[4] == "-" else float(f[4]),
-            support=tuple() if f[6] == "-" else tuple(int(s) for s in f[6].split(",")),
-            residual_before=float(f[7]), residual_after=float(f[8]),
-            damping=float(f[9]), exhaustive_locations=bool(int(f[10])),
-            budget_warning=bool(int(f[11])), normal_residual=float(f[12]),
-            weight_norm=float(f[13]), rhs_scale=float(f[14]),
-            converged=bool(int(f[15])) if len(f) > 15 else True))
-    return out
+    return model_io.read_tsv(path, PruneTrace, "trace")

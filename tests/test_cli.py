@@ -126,3 +126,58 @@ class TestExperimentAndReport:
                     "--data", TEST_DATA])
         assert code == 1
         assert "error:" in capsys.readouterr().err
+
+
+class TestConfigFilesFailLoudly:
+    def train_with_config(self, tmp_path, text):
+        cfg = tmp_path / "train.cfg"
+        cfg.write_text(text)
+        return run(["train", "--data", DATA, "--out", str(tmp_path / "m.ckpt"),
+                    "--config", str(cfg)] + FAST_TRAIN[:2])
+
+    def test_unknown_key(self, tmp_path, capsys):
+        assert self.train_with_config(tmp_path, "epoch = 1\n") == 1
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        assert "train.cfg" in err and "'epoch'" in err
+        assert not (tmp_path / "m.ckpt").exists()
+
+    def test_bad_boolean(self, tmp_path, capsys):
+        for text in ("no", "off", "0", "false", "yes", "on", "1", "TRUE"):
+            assert self.train_with_config(tmp_path, f"epochs = 0\nno_nesterov = {text}\n") == 0
+        capsys.readouterr()
+        assert self.train_with_config(tmp_path, "epochs = 0\nno_nesterov = ture\n") == 1
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        assert "train.cfg" in err and "no_nesterov" in err and "'ture'" in err
+
+    def test_experiment_reads_training_keys_without_flags(self, tmp_path, capsys):
+        cfg = tmp_path / "exp.cfg"
+        cfg.write_text("momentum = 0.5\nweight_decay = 0\nno_nesterov = 1\n")
+        assert run(["experiment", "--outdir", str(tmp_path / "exp"),
+                    "--config", str(cfg)]) == 1
+        assert "error: missing --data" in capsys.readouterr().err
+        cfg.write_text("momentum = 0.5\n")
+        assert run(["prune", "--checkpoint", "x.ckpt", "--out", "y.ckpt",
+                    "--config", str(cfg)]) == 1
+        assert "'momentum'" in capsys.readouterr().err
+
+
+class TestDatasetDescriptorsFailLoudly:
+    @pytest.mark.parametrize("text, token, keys", [
+        ("synth:count=20,clases=4", "'clases=4'", "seed, count, classes, dims"),
+        ("synth:count=20,dims", "'dims'", "seed, count, classes, dims"),
+        ("idx:images=f", "'labels'", "images, labels"),
+        ("cifar:paht=x", "'paht=x'", "cifar: takes path"),
+        ("synth:count=x", "'x'", "seed, count, classes, dims")])
+    def test_one_line_error_names_token_and_keys(self, text, token, keys):
+        with pytest.raises(ValueError) as excinfo:
+            cli.parse_dataset(text)
+        message = str(excinfo.value)
+        assert "\n" not in message and token in message and keys in message
+
+    def test_cli_exit_code(self, tmp_path, capsys):
+        code = run(["train", "--data", "synth:count=20,clases=4",
+                    "--out", str(tmp_path / "m.ckpt"), "--epochs", "0"])
+        assert code == 1
+        assert "'clases=4'" in capsys.readouterr().err

@@ -201,11 +201,11 @@ class TestPruneCommand:
                                  probe_images=16, num_locations=4, seed=0)
         _, report, _ = harness.prune(trained, train_data, test_data, cfg)
         assert report.variant == "magnitude"
-        d = harness.report_to_dict(report)
+        d = model_io.to_json(report)
         ref_cfg = pruner.PruneConfig(flops_target=2.0, probe_images=16,
                                      num_locations=4, seed=0)
         _, ref, _ = harness.prune(trained, train_data, test_data, ref_cfg)
-        assert set(d) == set(harness.report_to_dict(ref))
+        assert set(d) == set(model_io.to_json(ref))
 
     def test_report_arithmetic_recomputable(self, trained, train_data, test_data):
         cfg = pruner.PruneConfig(flops_target=2.0, probe_images=16,
@@ -227,7 +227,7 @@ class TestPruneCommand:
         path = tmp_path / "report.json"
         harness.write_report(path, report)
         back = harness.read_report(path)
-        assert harness.report_to_dict(back) == harness.report_to_dict(report)
+        assert model_io.to_json(back) == model_io.to_json(report)
 
     def test_prune_timer_excludes_baseline_eval(self, trained, train_data,
                                                  test_data, monkeypatch):
@@ -355,7 +355,8 @@ class TestRunExperiment:
             compression_ratio_mean=2.0625)
         result = harness.ExperimentResult(rows=[row], reports={},
                                           baseline_accuracy={0: 0.625, 2: 0.75})
-        back = harness.experiment_from_dict(harness.experiment_to_dict(result))
+        back = model_io.from_json(harness.ExperimentResult, model_io.to_json(result),
+                                  "table.json")
         assert back == result
 
     def test_artifacts_written_and_deterministic(self, spec, train_data,
