@@ -1,11 +1,13 @@
 """Anatomy of one pruning stage.
 
 Trains a small net, extracts feature probes at the second conv, assembles
-the weighted selection system for each variant, and shows how the chosen
-channels and the refit residual differ.
+the weighted selection rows for each variant, folds them into the small
+triangular factor that selection runs on, and shows how the chosen channels
+and the refit residual differ.  A pruning stage does the same chunk by
+chunk (`pruner.prune_model`).
 """
 
-from prunekit import harness, model_io, pruner
+from prunekit import harness, model_io, pruner, solvers
 
 train_ds = model_io.synth_dataset(11, 400, 6, dims=(1, 12, 12), noise=0.25,
                                   amplitude=0.8, jitter=1.2, split="train")
@@ -16,21 +18,26 @@ print(f"trained baseline, train-split accuracy {ckpt.metadata['accuracy']:.3f}")
 
 layer_index = spec.conv_indices()[1]
 cfg = pruner.PruneConfig(probe_images=64, num_locations=10, seed=0)
-probe = pruner.extract_probes(ckpt, ckpt.copy(), layer_index, train_ds, cfg)
+sample = pruner.sample_probes(spec, layer_index, train_ds, cfg)
+probe = pruner.extract_probes(ckpt, ckpt.copy(), layer_index, train_ds, sample)
 print(f"\nprobes at layer {layer_index}: {probe.y0.shape[0]} records, "
       f"{probe.y0.shape[1]} output channels, {probe.z.shape[2]} input channels")
 print(f"gradient magnitudes span [{abs(probe.grad).min():.2e}, "
       f"{abs(probe.grad).max():.2e}]")
 
 budget = 3
+selected = {}
 for variant in ("cpli", "cpli_no_fl", "cpli_no_fi", "cp_baseline"):
-    system = pruner.build_weighted_system(probe, variant, gamma=1.0)
-    sel = pruner.select_channels(system, budget, cfg)
-    print(f"{variant:12s} keeps {list(sel.support)} (lambda {sel.lambda_final:.3g})")
+    rows = pruner.build_weighted_system(probe, variant, gamma=1.0)
+    stream = solvers.SystemStream()
+    stream.add(rows)
+    sel = pruner.select_channels(stream.system(), budget, cfg)
+    selected[variant] = sel.support
+    print(f"{variant:12s} keeps {list(sel.support)} (lambda {sel.lambda_final:.3g}); "
+          f"{rows.rows}x{rows.cols} rows -> {stream.r.shape[0]}x{stream.r.shape[1]} factor")
 support = pruner.magnitude_select(ckpt.params[layer_index].weights, budget)
 print(f"{'magnitude':12s} keeps {list(support)}")
 
-sel = pruner.select_channels(pruner.build_weighted_system(probe, "cpli"), budget, cfg)
-refit = pruner.refit_layer(probe, sel.support, ckpt.params[layer_index].bias)
+refit = pruner.refit_layer(probe, selected["cpli"], ckpt.params[layer_index])
 print(f"\nrefit on cpli support: probe squared error "
       f"{refit.residual_before:.3f} (zero-fill) -> {refit.residual_after:.3f}")

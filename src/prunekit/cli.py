@@ -29,8 +29,15 @@ def _parse_dims(text: str) -> tuple[int, int, int]:
     return parts
 
 
-def _parse_ints(text: str) -> tuple[int, ...]:
-    return tuple(int(p) for p in str(text).split(",") if p != "")
+def _parse_int(token: str, flag: str) -> int:
+    try:
+        return int(token)
+    except ValueError:
+        raise ValueError(f"--{flag}: {token!r} is not an integer") from None
+
+
+def _parse_ints(text: str, flag: str) -> tuple[int, ...]:
+    return tuple(_parse_int(p, flag) for p in str(text).split(",") if p != "")
 
 
 def _parse_bool(v) -> bool:
@@ -46,7 +53,7 @@ def _parse_budgets(text: str) -> dict[int, int]:
         ordinal, _, count = item.partition("=")
         if not count:
             raise ValueError(f"budgets must look like 2=8,3=16, got {text!r}")
-        out[int(ordinal)] = int(count)
+        out[_parse_int(ordinal, "budgets")] = _parse_int(count, "budgets")
     return out
 
 
@@ -139,7 +146,7 @@ def cmd_train(args) -> int:
     opt = _Options(args)
     data = _load_data(opt, "data", "train")
     eval_data = _load_data(opt, "eval_data", "test", required=False)
-    widths = _parse_ints(opt.get("widths", "16,32,32,64"))
+    widths = _parse_ints(opt.get("widths", "16,32,32,64"), "widths")
     spec = harness.desk_net(input_dims=data.images.shape[1:],
                             num_classes=data.num_classes, widths=widths)
     cfg = _train_config(opt, lr_default=0.1, epochs_default=20)
@@ -205,12 +212,12 @@ def cmd_experiment(args) -> int:
     opt = _Options(args)
     data = _load_data(opt, "data", "train")
     test_data = _load_data(opt, "test_data", "test")
-    widths = _parse_ints(opt.get("widths", "16,32,32,64"))
+    widths = _parse_ints(opt.get("widths", "16,32,32,64"), "widths")
     spec = harness.desk_net(input_dims=data.images.shape[1:],
                             num_classes=data.num_classes, widths=widths)
     variants = str(opt.get("variants", ",".join(pruner.VARIANTS))).split(",")
-    seeds = _parse_ints(opt.get("seeds", "0,1,2"))
-    locations = _parse_ints(opt.get("locations", "10"))
+    seeds = _parse_ints(opt.get("seeds", "0,1,2"), "seeds")
+    locations = _parse_ints(opt.get("locations", "10"), "locations")
     plan = harness.ExperimentPlan.grid(variants, seeds, locations)
     train_cfg = _train_config(opt, lr_default=0.1, epochs_default=20)
     finetune_cfg = harness.finetune_defaults(

@@ -124,6 +124,9 @@ def train(spec: nn.NetworkSpec, data: model_io.DatasetHandle, cfg: TrainConfig,
                                            nesterov=cfg.nesterov,
                                            weight_decay=cfg.weight_decay,
                                            velocity=velocity)
+            # Free this step's activations before the next forward allocates
+            # its own, so only one step's trace is ever alive.
+            del trace, grads
     ckpt = model_io.Checkpoint(spec, params, {})
     acc_split = eval_data if eval_data is not None and len(eval_data) else data
     ckpt.metadata = {"seed": cfg.seed, "epochs": cfg.epochs,
@@ -142,8 +145,8 @@ def finetune(ckpt: model_io.Checkpoint, data: model_io.DatasetHandle,
 
 
 def evaluate(ckpt: model_io.Checkpoint, data: model_io.DatasetHandle,
-             batch_size: int = 256) -> float:
-    """Top-1 accuracy over a split."""
+             batch_size: int = 64) -> float:
+    """Top-1 accuracy over a split, `batch_size` images per forward."""
     if len(data) == 0:
         raise ValueError("cannot evaluate on an empty split")
     correct = 0

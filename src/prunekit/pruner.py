@@ -1,11 +1,12 @@
 """Layer-by-layer channel pruning pipeline.
 
 For each prunable conv layer (every conv except the first), sampled feature
-probes from the uncompressed and the partially-compressed model are turned
-into a weighted least-squares system over input channels; an l1 relaxation
-with a lambda search picks the kept set, and the surviving weights are refit
-by ordinary least squares before the dropped producers are physically
-removed from the previous conv.
+probes from the uncompressed and the partially-compressed model are turned,
+chunk by chunk, into the rows of a weighted least-squares system over input
+channels, which is kept only as its small triangular factor; an l1
+relaxation with a lambda search picks the kept set, and the surviving
+weights are refit by ordinary least squares before the dropped producers
+are physically removed from the previous conv.
 
 A variant switch covers the full objective (gradient-weighted rows with
 activation gating), its two ablations, the plain reconstruction baseline,
@@ -28,7 +29,7 @@ VARIANT_MAGNITUDE = "magnitude"
 VARIANTS = (VARIANT_CPLI, VARIANT_NO_FL, VARIANT_NO_FI, VARIANT_CP_BASELINE,
             VARIANT_MAGNITUDE)
 
-_PROBE_CHUNK = 64
+_PROBE_CHUNK = 16
 
 
 @dataclass
@@ -74,8 +75,58 @@ class PruneConfig:
 
 
 @dataclass
-class FeatureProbe:
-    """Sampled per-location records feeding selection and refit at one layer.
+class ProbeSample:
+    """Where one stage probes: sorted image ids, and for each image the
+    output rows and columns of its sampled locations, each (n, n_loc).
+    `exhaustive` is set when the map has fewer positions than asked for."""
+
+    image_ids: np.ndarray
+    rows: np.ndarray
+    cols: np.ndarray
+    exhaustive: bool
+
+    def __len__(self) -> int:
+        return len(self.image_ids)
+
+    def chunk(self, start: int, stop: int) -> "ProbeSample":
+        """The images start..stop-1 and their locations."""
+        return ProbeSample(self.image_ids[start:stop], self.rows[start:stop],
+                           self.cols[start:stop], self.exhaustive)
+
+
+def sample_probes(spec: nn.NetworkSpec, layer_index: int,
+                  dataset: model_io.DatasetHandle, config: PruneConfig) -> ProbeSample:
+    """Draw `probe_images` images and `num_locations` spatial positions per
+    image of conv `layer_index`'s output map, without replacement (all
+    positions when the map is smaller, with `exhaustive` set)."""
+    layer = spec.layers[layer_index]
+    if layer.kind != nn.CONV2D:
+        raise ValueError(f"layer {layer_index} is {layer.kind}, not conv2d")
+    _, ho, wo = spec.activation_dims()[layer_index]
+    rng = np.random.default_rng([config.seed, layer_index])
+    n_avail = len(dataset)
+    n_images = min(config.probe_images, n_avail)
+    image_ids = np.sort(rng.choice(n_avail, size=n_images, replace=False))
+    n_loc = min(config.num_locations, ho * wo)
+    flat_locs = np.array([rng.choice(ho * wo, size=n_loc, replace=False)
+                          for _ in range(n_images)])
+    return ProbeSample(image_ids, flat_locs // wo, flat_locs % wo,
+                       exhaustive=ho * wo < config.num_locations)
+
+
+@dataclass
+class RefitTargets:
+    """What the refit reads from a probe set, one row per (image, location):
+    the uncompressed model's bias-free responses y0 [probe, out_channel]
+    and the compressed model's input patches [probe, in_channel, kh, kw]."""
+
+    y0: np.ndarray
+    patches: np.ndarray
+
+
+@dataclass
+class FeatureProbe(RefitTargets):
+    """Per-location records of a probe sample at one layer.
 
     All output-channel quantities are bias-free conv responses (the linear
     output, before the nonlinearity and with the layer bias subtracted), so
@@ -86,11 +137,9 @@ class FeatureProbe:
     """
 
     layer_index: int
-    y0: np.ndarray
     ystar: np.ndarray
     grad: np.ndarray
     z: np.ndarray
-    patches: np.ndarray
     image_ids: np.ndarray
     locations: np.ndarray
     exhaustive: bool
@@ -98,77 +147,35 @@ class FeatureProbe:
 
 def extract_probes(uncompressed: model_io.Checkpoint, compressed: model_io.Checkpoint,
                    layer_index: int, dataset: model_io.DatasetHandle,
-                   config: PruneConfig) -> FeatureProbe:
-    """Sample probe records for one conv layer.
+                   sample: ProbeSample) -> FeatureProbe:
+    """Probe records of the sampled images as one batch, rows in (image,
+    location) order.
 
-    Draws `probe_images` images and `num_locations` spatial positions per
-    image (without replacement; all positions when the map is smaller, with
-    the `exhaustive` flag set).  y0 comes from the uncompressed model's
-    forward, run only up to the probed layer, or from the compressed forward
-    when both models are bit-equal up to it; ystar, the loss gradient, the
-    input patches (rows of the probed conv's im2col matrix) and the
-    contributions z come from the current compressed model, with z evaluated
-    against the uncompressed layer weights.
-
-    Images are processed in chunks of up to 64 with at most two forwards and
-    one backward each.  The backward stops at the probed layer's output, the
-    only gradient needed.  Mean cross-entropy is a sum of per-image terms and
-    no layer couples images, so the chunk gradient times the chunk size is
-    each image's own batch-size-1 gradient.  Each chunk runs in its own
-    function scope, so its traces and gradients are freed before the next
-    chunk's forwards.
+    y0 comes from the uncompressed model's forward, run only up to the
+    probed layer, or from the compressed forward when both models are
+    bit-equal up to it; ystar, the loss gradient, the input patches (rows of
+    the probed conv's im2col matrix) and the contributions z come from the
+    current compressed model, with z evaluated against the uncompressed
+    layer weights.  That is at most two forwards and one backward, which
+    stops at the probed layer's output, the only gradient needed.  Mean
+    cross-entropy is a sum of per-image terms and no layer couples images,
+    so the batch gradient times the batch size is each image's own
+    batch-size-1 gradient.  A pruning stage calls this once per chunk of
+    its sample.
     """
     layer = compressed.spec.layers[layer_index]
     if layer.kind != nn.CONV2D:
         raise ValueError(f"layer {layer_index} is {layer.kind}, not conv2d")
     kh, kw = layer.kernel
+    c_in, taps = layer.in_channels, kh * kw
     c_out, ho, wo = compressed.spec.activation_dims()[layer_index]
-    c_in = layer.in_channels
-
-    rng = np.random.default_rng([config.seed, layer_index])
-    n_avail = len(dataset)
-    n_images = min(config.probe_images, n_avail)
-    image_ids = np.sort(rng.choice(n_avail, size=n_images, replace=False))
-    n_loc = min(config.num_locations, ho * wo)
-    exhaustive = ho * wo < config.num_locations
-    flat_locs = np.array([rng.choice(ho * wo, size=n_loc, replace=False)
-                          for _ in range(n_images)])
-    rows, cols = flat_locs // wo, flat_locs % wo
-
-    same_prefix = _same_prefix(uncompressed, compressed, layer_index)
-    total = n_images * n_loc
-    y0 = np.empty((total, c_out))
-    ystar = np.empty((total, c_out))
-    grad = np.empty((total, c_out))
-    z = np.empty((total, c_out, c_in))
-    patches = np.empty((total, c_in, kh, kw))
-    for start in range(0, n_images, _PROBE_CHUNK):
-        stop = min(start + _PROBE_CHUNK, n_images)
-        sl = slice(start * n_loc, stop * n_loc)
-        y0[sl], ystar[sl], grad[sl], z[sl], patches[sl] = _probe_chunk(
-            uncompressed, compressed, layer_index, same_prefix, dataset,
-            image_ids[start:stop], rows[start:stop], cols[start:stop])
-
-    return FeatureProbe(layer_index=layer_index, y0=y0, ystar=ystar, grad=grad,
-                        z=z, patches=patches,
-                        image_ids=np.repeat(image_ids, n_loc),
-                        locations=np.stack([rows.ravel(), cols.ravel()], axis=1),
-                        exhaustive=exhaustive)
-
-
-def _probe_chunk(uncompressed: model_io.Checkpoint, compressed: model_io.Checkpoint,
-                 layer_index: int, same_prefix: bool, dataset: model_io.DatasetHandle,
-                 ids: np.ndarray, rows: np.ndarray, cols: np.ndarray):
-    """y0, ystar, grad, z and patches of one chunk of probe images, with
-    rows in (image, location) order; `rows` and `cols` are (n, n_loc)."""
-    layer = compressed.spec.layers[layer_index]
-    kh, kw = layer.kernel
-    c_out, ho, wo = compressed.spec.activation_dims()[layer_index]
+    ids, rows, cols = sample.image_ids, sample.rows, sample.cols
     n = len(ids)
     batch = dataset.images[ids]
     trace_c = nn.forward_collect(compressed.spec, compressed.params, batch)
-    trace_u = trace_c if same_prefix else nn.forward_collect(
-        uncompressed.spec, uncompressed.params, batch, upto=layer_index)
+    trace_u = trace_c if _same_prefix(uncompressed, compressed, layer_index) else \
+        nn.forward_collect(uncompressed.spec, uncompressed.params, batch,
+                           upto=layer_index)
     grads = nn.backward_collect(compressed.spec, compressed.params, trace_c,
                                 dataset.labels[ids], stop=layer_index + 1)
     # Fancy indexing puts the (image, location) axes first: (n, n_loc, ...).
@@ -179,10 +186,18 @@ def _probe_chunk(uncompressed: model_io.Checkpoint, compressed: model_io.Checkpo
     ystar = (trace_c.outputs[layer_index][k, :, rows, cols] - b_cur).reshape(-1, c_out)
     grad = (grads.activations[layer_index][k, :, rows, cols] * n).reshape(-1, c_out)
     # im2col rows run over (image, output row, output column).
-    pat = trace_c.cols[layer_index][(k * ho + rows) * wo + cols].reshape(
-        -1, layer.in_channels, kh, kw)
-    z = np.einsum("pjuv,ijuv->pij", pat, uncompressed.params[layer_index].weights)
-    return y0, ystar, grad, z, pat
+    patches = trace_c.cols[layer_index][(k * ho + rows) * wo + cols].reshape(
+        -1, c_in, kh, kw)
+    # z[p, i, j] sums patches[p, j] * w0[i, j] over the kernel taps: one
+    # (probes x taps) @ (taps x c_out) product per input channel j.
+    w0 = uncompressed.params[layer_index].weights
+    z = np.ascontiguousarray(np.matmul(
+        patches.reshape(-1, c_in, taps).transpose(1, 0, 2),
+        w0.reshape(c_out, c_in, taps).transpose(1, 2, 0)).transpose(1, 2, 0))
+    return FeatureProbe(y0=y0, patches=patches, layer_index=layer_index, ystar=ystar,
+                        grad=grad, z=z, image_ids=np.repeat(ids, rows.shape[1]),
+                        locations=np.stack([rows.ravel(), cols.ravel()], axis=1),
+                        exhaustive=sample.exhaustive)
 
 
 def _same_prefix(a: model_io.Checkpoint, b: model_io.Checkpoint, upto: int) -> bool:
@@ -199,11 +214,12 @@ def _same_prefix(a: model_io.Checkpoint, b: model_io.Checkpoint, upto: int) -> b
 
 def build_weighted_system(probe: FeatureProbe, variant: str,
                           gamma: float = 1.0) -> solvers.WeightedSystem:
-    """Assemble the selection system: one row per (probe, output channel).
+    """The selection system's rows for a probe: one per (probe, output channel).
 
     Row weights (g, s) by variant -- cpli: (grad, gamma*ystar);
     cpli_no_fl: (1, gamma*ystar); cpli_no_fi: (grad, 1); cp_baseline: (1, 1).
-    Each row is b = g*y0, A[j] = g*s*z_j.
+    Each row is b = g*y0, A[j] = g*s*z_j.  A pruning stage builds this per
+    probe chunk and folds it into a `solvers.SystemStream`.
     """
     if variant == VARIANT_CPLI:
         g, s = probe.grad, gamma * probe.ystar
@@ -253,14 +269,15 @@ class RefitOutcome:
     rhs_scale: float
 
 
-def refit_layer(probe: FeatureProbe, support, old_bias: np.ndarray,
+def refit_layer(probe: RefitTargets, support, old: nn.LayerParams,
                 damping: float = 0.0) -> RefitOutcome:
     """Least-squares refit of the kept-channel filters against y0.
 
-    Targets are the unweighted uncompressed responses; the bias is refit as
-    the old bias plus the mean residual per output channel.  Also reports
-    the probe-set squared error before (original weights, dropped channels
-    zeroed) and after the refit, plus the normal-equation residual
+    `old` is the layer's parameters before the refit.  Targets are the
+    unweighted uncompressed responses; the bias is refit as the old bias
+    plus the mean residual per output channel.  Also reports the probe-set
+    squared error before (old weights on the kept channels, dropped
+    channels zeroed) and after the refit, plus the normal-equation residual
     ||P^T (t - P w)|| with its natural scale ||P^T t|| so optimality is
     checkable per layer.
     """
@@ -275,10 +292,10 @@ def refit_layer(probe: FeatureProbe, support, old_bias: np.ndarray,
     wmat = refit.weights.reshape(refit.weights.shape[0], -1).T
     pred = pmat @ wmat
     shift = (probe.y0 - pred).mean(axis=0)
-    new_bias = old_bias + shift
+    new_bias = old.bias + shift
 
-    drop = probe.z[:, :, support].sum(axis=2)
-    residual_before = float(((probe.y0 - drop) ** 2).sum())
+    kept = pmat @ old.weights[:, support].reshape(len(old.bias), -1).T
+    residual_before = float(((probe.y0 - kept) ** 2).sum())
     residual_after = float(((probe.y0 - pred - shift) ** 2).sum())
     return RefitOutcome(weights=refit.weights, bias=new_bias,
                         residual_before=residual_before,
@@ -436,33 +453,66 @@ def _prune_stage(uncompressed: model_io.Checkpoint, compressed: model_io.Checkpo
                  dataset: model_io.DatasetHandle, config: PruneConfig, ordinal: int,
                  budget: int) -> tuple[model_io.Checkpoint, PruneTrace]:
     """Probe, select, refit and rewrite one conv; returns the new model and
-    the stage's trace."""
+    the stage's trace.
+
+    The sample's images are probed in chunks of `_PROBE_CHUNK`.  Each
+    chunk's y0 and patches are kept for the refit, and its selection rows
+    are folded into a `solvers.SystemStream`, so the stage never holds the
+    whole sample's z, ystar, gradients or design matrix.  Earlier stages
+    rewrote only convs before this one, so its parameters are still the
+    uncompressed ones.
+    """
     convs = uncompressed.spec.conv_indices()
     li, prev = convs[ordinal - 1], convs[ordinal - 2]
-    probe = extract_probes(uncompressed, compressed, li, dataset, config)
+    layer = compressed.spec.layers[li]
+    sample = sample_probes(compressed.spec, li, dataset, config)
+    n_loc = sample.rows.shape[1]
+    targets = RefitTargets(
+        y0=np.empty((len(sample) * n_loc, layer.out_channels)),
+        patches=np.empty((len(sample) * n_loc, layer.in_channels, *layer.kernel)))
+    stream = None if config.variant == VARIANT_MAGNITUDE else solvers.SystemStream()
+    for start in range(0, len(sample), _PROBE_CHUNK):
+        _probe_chunk(uncompressed, compressed, li, dataset, config,
+                     sample.chunk(start, start + _PROBE_CHUNK), targets,
+                     slice(start * n_loc, (start + _PROBE_CHUNK) * n_loc), stream)
     cur = compressed.params[li]
-    if config.variant == VARIANT_MAGNITUDE:
+    if stream is None:
         support = magnitude_select(cur.weights, budget)
         lam, warn, converged = None, False, True
     else:
-        system = build_weighted_system(probe, config.variant, config.gamma)
+        system = stream.system()
         if not system.col_sq_norms.any():
             raise ValueError(f"conv {ordinal} (layer {li}): every weighted "
                              "column is zero, so there is no channel to select")
         sel = select_channels(system, budget, config)
         support, lam, warn = sel.support, sel.lambda_final, sel.budget_warning
         converged = sel.converged
-    refit = refit_layer(probe, support, cur.bias, damping=config.damping)
+    refit = refit_layer(targets, support, cur, damping=config.damping)
     sup = np.asarray(support, dtype=np.int64)
     return _rewrite(compressed, prev, li, sup, refit.weights, refit.bias), PruneTrace(
         layer_index=li, conv_ordinal=ordinal, variant=config.variant,
         budget=budget, lambda_final=lam, support=tuple(support),
         residual_before=refit.residual_before,
         residual_after=refit.residual_after, damping=refit.damping,
-        exhaustive_locations=probe.exhaustive, budget_warning=warn,
+        exhaustive_locations=sample.exhaustive, budget_warning=warn,
         normal_residual=refit.normal_residual,
         weight_norm=refit.weight_norm, rhs_scale=refit.rhs_scale,
         converged=converged)
+
+
+def _probe_chunk(uncompressed: model_io.Checkpoint, compressed: model_io.Checkpoint,
+                 layer_index: int, dataset: model_io.DatasetHandle, config: PruneConfig,
+                 chunk: ProbeSample, targets: RefitTargets, at: slice,
+                 stream: solvers.SystemStream | None) -> None:
+    """Probe one chunk: its y0 and patches go to `targets[at]`, its
+    selection rows into `stream`.  Everything else the chunk made (forward
+    traces, gradients, z, its rows of A) is freed on return, before the
+    next chunk's forwards."""
+    probe = extract_probes(uncompressed, compressed, layer_index, dataset, chunk)
+    targets.y0[at] = probe.y0
+    targets.patches[at] = probe.patches
+    if stream is not None:
+        stream.add(build_weighted_system(probe, config.variant, config.gamma))
 
 
 # ---------------------------------------------------------------------------

@@ -3,7 +3,9 @@
 Two solvers: an l1-penalised weighted least-squares (LASSO) coordinate
 descent, finished exactly by a feature-sign search over its active set,
 with a geometric lambda search that enforces a cardinality budget, and an
-ordinary least-squares refitter for the kept-channel conv weights.
+ordinary least-squares refitter for the kept-channel conv weights.  A
+selection system can be fed block by block of rows into `SystemStream`,
+which keeps only its triangular factor.
 
 All solves are deterministic: coordinates are visited in ascending index
 order and every tie-break picks the lowest index.  Bit-identical columns
@@ -13,6 +15,7 @@ count as one, the lowest-indexed of them, so exact ties go to it.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 import scipy.linalg
@@ -25,10 +28,33 @@ _MAX_GRID_STEPS = 500
 # Stationarity tolerance of the active-set finish, relative to the size of
 # the terms in c_j - (G beta)_j.
 _KKT_RTOL = 1e-9
-# The normal equations square the condition number of A_S.  Past this
-# condition number of G_SS their solution keeps fewer than half the digits
-# of a double, and the backfill fits on the columns of A itself instead.
-_GRAM_COND_LIMIT = 1.0 / np.sqrt(np.finfo(np.float64).eps)
+
+
+def _narrow_copies(first: np.ndarray | None, a: np.ndarray) -> np.ndarray:
+    """`first` narrowed to the columns of `a` that are bit-identical too.
+
+    `first[j]` is the lowest index of j's group of candidate twins (None
+    makes every column a candidate).  In the result, j maps to the lowest
+    member of its group whose column of `a` is bit-identical to its own.
+    Twins have bit-equal squared norms, so only those pairs are compared,
+    and columns outside a group of two or more are not read.
+    """
+    cols = a.shape[1]
+    out = np.arange(cols)
+    if first is None:
+        first = np.zeros(cols, dtype=np.int64)
+    grouped = np.flatnonzero(np.bincount(first, minlength=cols)[first] > 1)
+    sq = (a[:, grouped] * a[:, grouped]).sum(axis=0)
+    leads: dict[tuple[int, float], list[int]] = {}
+    for j, norm in zip(grouped.tolist(), sq.tolist()):
+        seen = leads.setdefault((int(first[j]), norm), [])
+        for i in seen:
+            if np.array_equal(a[:, i], a[:, j]):
+                out[j] = i
+                break
+        else:
+            seen.append(j)
+    return out
 
 
 @dataclass
@@ -37,16 +63,19 @@ class WeightedSystem:
 
     Rows are (probe, output-channel) pairs, columns are the layer's input
     channels.  The objective at beta is ||b - A beta||^2 + lambda * |beta|_1.
-    Squared column norms are cached; the Gram matrix and correlation vector
-    are computed lazily so cheap uses never pay for them.  `first_copy[j]`
-    is the lowest index whose column is bit-identical to nonzero column j
-    (j itself when there is none).
+    A system may also be any (A, b) with the same least-squares geometry,
+    such as the triangular factor that `SystemStream` builds.  Squared column
+    norms, the Gram matrix and the correlation vector are computed lazily,
+    so a block of rows that is only streamed never pays for them.
+    `first_copy[j]` is the lowest index whose column is bit-identical to
+    nonzero column j (j itself when there is none); `copies`, when given,
+    is that map found on the rows the system came from, else it is found
+    on `a`.
     """
 
     a: np.ndarray
     b: np.ndarray
-    col_sq_norms: np.ndarray = field(init=False)
-    first_copy: np.ndarray = field(init=False)
+    copies: np.ndarray | None = field(default=None, repr=False)
     _gram: np.ndarray | None = field(default=None, init=False, repr=False)
     _corr: np.ndarray | None = field(default=None, init=False, repr=False)
 
@@ -60,19 +89,6 @@ class WeightedSystem:
                              f"b has {self.b.shape[0]}")
         if self.a.shape[0] < 1 or self.a.shape[1] < 1:
             raise ValueError("system must have at least one row and one column")
-        self.col_sq_norms = (self.a * self.a).sum(axis=0)
-        # Identical columns have bit-equal squared norms; only those pairs
-        # are compared.
-        self.first_copy = np.arange(self.cols)
-        by_norm: dict[float, list[int]] = {}
-        for j in np.flatnonzero(self.col_sq_norms > 0.0).tolist():
-            seen = by_norm.setdefault(float(self.col_sq_norms[j]), [])
-            for i in seen:
-                if np.array_equal(self.a[:, i], self.a[:, j]):
-                    self.first_copy[j] = i
-                    break
-            else:
-                seen.append(j)
 
     @property
     def rows(self) -> int:
@@ -81,6 +97,18 @@ class WeightedSystem:
     @property
     def cols(self) -> int:
         return self.a.shape[1]
+
+    @cached_property
+    def col_sq_norms(self) -> np.ndarray:
+        return (self.a * self.a).sum(axis=0)
+
+    @cached_property
+    def first_copy(self) -> np.ndarray:
+        first = (_narrow_copies(None, self.a) if self.copies is None
+                 else np.array(self.copies, dtype=np.int64))
+        zero = np.flatnonzero(self.col_sq_norms == 0.0)
+        first[zero] = zero
+        return first
 
     def gram(self) -> np.ndarray:
         if self._gram is None:
@@ -91,6 +119,49 @@ class WeightedSystem:
         if self._corr is None:
             self._corr = self.a.T @ self.b
         return self._corr
+
+
+class SystemStream:
+    """A weighted system fed block by block of rows, held as the triangular
+    factor R of [A | b] (TSQR; Demmel, Grigori, Hoemmen & Langou 2012).
+
+    Each block is stacked under the running R and refactored, so memory
+    stays at one block plus (cols + 1)^2.  [A | b] = QR with orthonormal Q
+    gives ||b - A beta|| = ||r - R_A beta|| for every beta, where R_A is R's
+    first `cols` columns and r its last, so (R_A, r) has A's least-squares
+    geometry: the same Gram matrix, correlations and residuals.  R's
+    columns carry rounding noise even where A's are bit-identical, so the
+    identical-column map is found on the blocks themselves: the first block
+    proposes groups and every later block narrows them.  An all-zero column
+    of A stays exactly zero in R, since Householder QR leaves a zero column
+    untouched.
+    """
+
+    def __init__(self):
+        self.r: np.ndarray | None = None
+        self.copies: np.ndarray | None = None
+
+    def add(self, block: WeightedSystem) -> None:
+        self.copies = _narrow_copies(self.copies, block.a)
+        held = 0 if self.r is None else self.r.shape[0]
+        # Column-major, so LAPACK factors it in place.
+        stacked = np.empty((held + block.rows, block.cols + 1), order="F")
+        if held:
+            stacked[:held] = self.r
+        stacked[held:, :-1] = block.a
+        stacked[held:, -1] = block.b
+        # Householder QR (dgeqrf) keeps R in the upper triangle; calling it
+        # directly is about twice as fast as np.linalg.qr(mode="r") on a
+        # 10240x33 block and gives the same bits.
+        qr, _, _, info = scipy.linalg.lapack.dgeqrf(stacked, overwrite_a=True)
+        if info != 0:
+            raise ValueError(f"dgeqrf rejected argument {-info}")
+        self.r = np.triu(qr[:min(qr.shape)])
+
+    def system(self) -> WeightedSystem:
+        if self.r is None:
+            raise ValueError("no rows were streamed")
+        return WeightedSystem(self.r[:, :-1], self.r[:, -1], copies=self.copies)
 
 
 @dataclass
@@ -269,16 +340,15 @@ def lambda_search(system: WeightedSystem, budget: int,
     grid point wins; if its support is under budget, excluded columns are
     backfilled greedily by correlation with the current restricted
     least-squares residual until |support| = min(budget, nonzero columns).
-    Backfill works from the cached Gram matrix and correlation vector: the
-    restricted fit solves G_SS w = c_S, and column j's score is
-    |c_j - G_jS w|, which equals |A_j^T (b - A_S w)|.  When G_SS is
-    rank-deficient or its condition number passes `_GRAM_COND_LIMIT`, that
-    step fits on A_S by least squares and scores against the residual
-    b - A_S w instead.  `residual_norm` is ||b - A w|| with w zero off the
-    support.  Each excluded column is scored as the first column of its
-    bit-identical group, so exact ties go to the lowest index, and the
-    grid's lambda_max comes from those first columns too.
-    Requesting more columns than are nonzero sets `budget_warning`.
+    The restricted fit w is least squares on the columns A_S themselves, and
+    column j's score is |A_j^T (b - A_S w)|.  On a streamed system A is the
+    small triangular factor, whose columns keep the condition number of the
+    original A_S rather than its square, so one path serves every support.
+    `residual_norm` is ||b - A w|| with w zero off the support.  Each
+    excluded column is scored as the first column of its bit-identical
+    group, so exact ties go to the lowest index, and the grid's lambda_max
+    comes from those first columns too.  Requesting more columns than are
+    nonzero sets `budget_warning`.
     """
     cols = system.cols
     if not 1 <= budget <= cols:
@@ -306,36 +376,24 @@ def lambda_search(system: WeightedSystem, budget: int,
     else:
         raise RuntimeError("lambda grid exhausted without meeting the budget")
 
-    gram, corr = system.gram(), system.corr()
-
-    def restricted_ols(s: np.ndarray) -> tuple[np.ndarray, bool]:
-        # Least-squares coefficients on the columns s, and whether they came
-        # from the normal equations.
-        w, _, rank, sv = np.linalg.lstsq(gram[np.ix_(s, s)], corr[s], rcond=None)
-        if rank == len(s) and (rank == 0 or sv[0] < _GRAM_COND_LIMIT * sv[-1]):
-            return w, True
-        w, *_ = np.linalg.lstsq(system.a[:, s], system.b, rcond=None)
-        return w, False
+    def restricted_residual(support: list[int]) -> np.ndarray:
+        # b minus its least-squares fit on the columns in `support`.
+        s = np.array(support, dtype=np.int64)
+        w = np.linalg.lstsq(system.a[:, s], system.b, rcond=None)[0]
+        return system.b - system.a[:, s] @ w
 
     support = sorted(np.flatnonzero(beta).tolist())
     excluded = [j for j in nonzero_cols.tolist() if j not in support]
     while len(support) < target:
-        s = np.array(support, dtype=np.int64)
-        w, on_gram = restricted_ols(s)
+        r = restricted_residual(support)
         u, inv = np.unique(first[excluded], return_inverse=True)
-        if on_gram:
-            scores = np.abs(corr[u] - gram[np.ix_(u, s)] @ w)[inv]
-        else:
-            scores = np.abs(system.a[:, u].T @ (system.b - system.a[:, s] @ w))[inv]
+        scores = np.abs(system.a[:, u].T @ r)[inv]
         pick = excluded[int(np.argmax(scores))]  # argmax ties -> lowest index
         support.append(pick)
         excluded.remove(pick)
         support.sort()
 
-    s = np.array(support, dtype=np.int64)
-    coef = np.zeros(cols)
-    coef[s] = restricted_ols(s)[0]
-    residual = float(np.linalg.norm(system.b - system.a @ coef))
+    residual = float(np.linalg.norm(restricted_residual(support)))
     return SelectionResult(beta=beta, support=tuple(support), lambda_final=lam,
                            residual_norm=residual, converged=converged,
                            budget_warning=budget_warning)

@@ -275,63 +275,87 @@ def synth_dataset_loop(seed, count, classes, dims=(1, 16, 16), noise=0.25,
     return images, labels
 
 
-def extract_probes_loop(uncompressed, compressed, layer_index, dataset, config):
-    """`pruner.extract_probes` with one batch-size-1 backward per probe image.
-
-    Same sampling draws as the library; each image's gradient comes from its
-    own backward pass and each receptive field from an explicit slice.
-    Forwards run over the library's 64-image chunks.
-    """
-    layer = compressed.spec.layers[layer_index]
-    kh, kw = layer.kernel
-    c_out, ho, wo = compressed.spec.activation_dims()[layer_index]
-    c_in, pad, stride = layer.in_channels, layer.padding, layer.stride
-
+def sample_probes_loop(spec, layer_index, dataset, config):
+    """`pruner.sample_probes` drawn one image at a time."""
+    _, ho, wo = spec.activation_dims()[layer_index]
     rng = np.random.default_rng([config.seed, layer_index])
     n_images = min(config.probe_images, len(dataset))
     image_ids = np.sort(rng.choice(len(dataset), size=n_images, replace=False))
     n_loc = min(config.num_locations, ho * wo)
-    flat_locs = [rng.choice(ho * wo, size=n_loc, replace=False)
-                 for _ in range(n_images)]
+    rows, cols = [], []
+    for _ in range(n_images):
+        flat = rng.choice(ho * wo, size=n_loc, replace=False)
+        rows.append([f // wo for f in flat])
+        cols.append([f % wo for f in flat])
+    return pruner.ProbeSample(image_ids, np.array(rows).reshape(n_images, n_loc),
+                              np.array(cols).reshape(n_images, n_loc),
+                              exhaustive=ho * wo < config.num_locations)
+
+
+def extract_probes_loop(uncompressed, compressed, layer_index, dataset, sample):
+    """`pruner.extract_probes` with one batch-size-1 backward per probe image.
+
+    The forwards run over the sample's images as one batch, as the
+    library's do; each image's gradient comes from its own backward pass
+    and each receptive field from an explicit slice.
+    """
+    layer = compressed.spec.layers[layer_index]
+    kh, kw = layer.kernel
+    _, ho, wo = compressed.spec.activation_dims()[layer_index]
+    pad, stride = layer.padding, layer.stride
 
     w0 = uncompressed.params[layer_index].weights
     b0 = uncompressed.params[layer_index].bias
     b_cur = compressed.params[layer_index].bias
     y0, ystar, grad, z, patches, ids_out, locs_out = ([] for _ in range(7))
-    for start in range(0, n_images, 64):
-        ids = image_ids[start:start + 64]
-        trace_u = nn.forward_collect(uncompressed.spec, uncompressed.params,
-                                     dataset.images[ids])
-        trace_c = nn.forward_collect(compressed.spec, compressed.params,
-                                     dataset.images[ids])
-        for k, image in enumerate(ids):
-            # im2col rows run over (image, output row, output column).
-            single = nn.ForwardTrace(
-                x=trace_c.x[k:k + 1], outputs=[o[k:k + 1] for o in trace_c.outputs],
-                logits=trace_c.logits[k:k + 1],
-                cols={i: c.reshape(len(ids), -1, c.shape[1])[k]
-                      for i, c in trace_c.cols.items()})
-            grads = nn.backward_collect(compressed.spec, compressed.params, single,
-                                        dataset.labels[image:image + 1])
-            x_in = trace_c.outputs[layer_index - 1][k] if layer_index else trace_c.x[k]
-            x_in = np.pad(x_in, ((0, 0), (pad, pad), (pad, pad)))
-            rr, cc = flat_locs[start + k] // wo, flat_locs[start + k] % wo
-            pat = np.array([x_in[:, r * stride:r * stride + kh, c * stride:c * stride + kw]
-                            for r, c in zip(rr, cc)])
-            y0.append(trace_u.outputs[layer_index][k][:, rr, cc].T - b0)
-            ystar.append(trace_c.outputs[layer_index][k][:, rr, cc].T - b_cur)
-            grad.append(grads.activations[layer_index][0][:, rr, cc].T)
-            patches.append(pat)
-            z.append(np.einsum("pjuv,ijuv->pij", pat, w0))
-            ids_out += [image] * n_loc
-            locs_out += list(zip(rr, cc))
+    ids = sample.image_ids
+    trace_u = nn.forward_collect(uncompressed.spec, uncompressed.params,
+                                 dataset.images[ids])
+    trace_c = nn.forward_collect(compressed.spec, compressed.params,
+                                 dataset.images[ids])
+    for k, image in enumerate(ids):
+        # im2col rows run over (image, output row, output column).
+        single = nn.ForwardTrace(
+            x=trace_c.x[k:k + 1], outputs=[o[k:k + 1] for o in trace_c.outputs],
+            logits=trace_c.logits[k:k + 1],
+            cols={i: c.reshape(len(ids), -1, c.shape[1])[k]
+                  for i, c in trace_c.cols.items()})
+        grads = nn.backward_collect(compressed.spec, compressed.params, single,
+                                    dataset.labels[image:image + 1])
+        x_in = trace_c.outputs[layer_index - 1][k] if layer_index else trace_c.x[k]
+        x_in = np.pad(x_in, ((0, 0), (pad, pad), (pad, pad)))
+        rr, cc = sample.rows[k], sample.cols[k]
+        pat = np.array([x_in[:, r * stride:r * stride + kh, c * stride:c * stride + kw]
+                        for r, c in zip(rr, cc)])
+        y0.append(trace_u.outputs[layer_index][k][:, rr, cc].T - b0)
+        ystar.append(trace_c.outputs[layer_index][k][:, rr, cc].T - b_cur)
+        grad.append(grads.activations[layer_index][0][:, rr, cc].T)
+        patches.append(pat)
+        z.append(np.einsum("pjuv,ijuv->pij", pat, w0))
+        ids_out += [image] * len(rr)
+        locs_out += list(zip(rr, cc))
     return pruner.FeatureProbe(
         layer_index=layer_index, y0=np.concatenate(y0), ystar=np.concatenate(ystar),
         grad=np.concatenate(grad), z=np.concatenate(z),
         patches=np.concatenate(patches),
         image_ids=np.array(ids_out, dtype=np.int64),
         locations=np.array(locs_out, dtype=np.int64).reshape(-1, 2),
-        exhaustive=ho * wo < config.num_locations)
+        exhaustive=sample.exhaustive)
+
+
+def dense_weighted_system(probe, variant, gamma=1.0):
+    """The selection system of a whole probe set as one dense (A, b), one
+    row per (probe, output channel) in that order, written row by row."""
+    total, c_out = probe.y0.shape
+    a = np.empty((total * c_out, probe.z.shape[2]))
+    b = np.empty(total * c_out)
+    for p in range(total):
+        for i in range(c_out):
+            g = 1.0 if variant in ("cpli_no_fl", "cp_baseline") else probe.grad[p, i]
+            s = 1.0 if variant in ("cpli_no_fi", "cp_baseline") else gamma * probe.ystar[p, i]
+            b[p * c_out + i] = g * probe.y0[p, i]
+            a[p * c_out + i] = g * s * probe.z[p, i]
+    return a, b
 
 
 def apply_supports(ckpt, supports):

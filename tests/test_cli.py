@@ -181,3 +181,29 @@ class TestDatasetDescriptorsFailLoudly:
                     "--out", str(tmp_path / "m.ckpt"), "--epochs", "0"])
         assert code == 1
         assert "'clases=4'" in capsys.readouterr().err
+
+
+class TestIntegerFlagsFailLoudly:
+    def assert_one_line(self, capsys, want):
+        err = capsys.readouterr().err
+        assert err == f"error: {want}\n"
+
+    def test_widths(self, tmp_path, capsys):
+        assert run(["train", "--data", DATA, "--out", str(tmp_path / "m.ckpt"),
+                    "--widths", "4,a", "--epochs", "0"]) == 1
+        self.assert_one_line(capsys, "--widths: 'a' is not an integer")
+
+    @pytest.mark.parametrize("flag, value, token", [
+        ("--seeds", "0,1.5", "'1.5'"), ("--locations", "x", "'x'"),
+        ("--widths", "4, ,6", "' '")])
+    def test_experiment_lists(self, tmp_path, capsys, flag, value, token):
+        assert run(["experiment", "--data", DATA, "--test-data", TEST_DATA,
+                    "--outdir", str(tmp_path / "exp"), flag, value]) == 1
+        self.assert_one_line(capsys, f"{flag}: {token} is not an integer")
+        assert not (tmp_path / "exp").exists()
+
+    @pytest.mark.parametrize("value, token", [("2=x", "'x'"), ("two=3", "'two'")])
+    def test_budgets(self, ckpt_path, tmp_path, capsys, value, token):
+        assert run(["prune", "--checkpoint", str(ckpt_path), "--data", DATA,
+                    "--out", str(tmp_path / "p.ckpt"), "--budgets", value]) == 1
+        self.assert_one_line(capsys, f"--budgets: {token} is not an integer")

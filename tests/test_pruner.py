@@ -1,4 +1,5 @@
 import dataclasses
+import tracemalloc
 import weakref
 
 import numpy as np
@@ -6,7 +7,8 @@ import pytest
 
 from prunekit import harness, model_io, nn, pruner, solvers
 
-from _oracles import apply_supports, extract_probes_loop, subset_residual
+from _oracles import (apply_supports, dense_weighted_system, extract_probes_loop,
+                      sample_probes_loop, subset_residual)
 
 
 SYNTH = dict(classes=10, dims=(1, 12, 12), noise=0.25, amplitude=0.8, jitter=1.2)
@@ -40,6 +42,12 @@ def quick_config(**kw):
     return pruner.PruneConfig(**base)
 
 
+def probe_all(uncompressed, compressed, li, dataset, cfg):
+    """The whole probe sample of conv `li` as one batch."""
+    sample = pruner.sample_probes(compressed.spec, li, dataset, cfg)
+    return pruner.extract_probes(uncompressed, compressed, li, dataset, sample)
+
+
 class TestPruneConfig:
     def test_unknown_variant(self):
         with pytest.raises(ValueError, match="unknown variant"):
@@ -57,15 +65,14 @@ class TestPruneConfig:
 class TestExtractProbes:
     def test_identical_models_ystar_equals_y0(self, trained, synth_data):
         li = trained.spec.conv_indices()[1]
-        probe = pruner.extract_probes(trained, trained.copy(), li, synth_data,
-                                      quick_config())
+        probe = probe_all(trained, trained.copy(), li, synth_data, quick_config())
         np.testing.assert_allclose(probe.ystar, probe.y0, atol=1e-12)
 
     def test_exhaustive_sampling_covers_every_location(self, trained, synth_data):
         li = trained.spec.conv_indices()[2]  # 3x3 map after two pools
         _, ho, wo = trained.spec.activation_dims()[li]
         cfg = quick_config(probe_images=3, num_locations=ho * wo)
-        probe = pruner.extract_probes(trained, trained.copy(), li, synth_data, cfg)
+        probe = probe_all(trained, trained.copy(), li, synth_data, cfg)
         assert not probe.exhaustive  # map size == requested count, nothing missing
         for img in range(3):
             locs = probe.locations[img * ho * wo:(img + 1) * ho * wo]
@@ -76,7 +83,7 @@ class TestExtractProbes:
         li = trained.spec.conv_indices()[2]
         _, ho, wo = trained.spec.activation_dims()[li]
         cfg = quick_config(probe_images=2, num_locations=ho * wo + 5)
-        probe = pruner.extract_probes(trained, trained.copy(), li, synth_data, cfg)
+        probe = probe_all(trained, trained.copy(), li, synth_data, cfg)
         assert probe.exhaustive
         assert probe.y0.shape[0] == 2 * ho * wo
 
@@ -84,7 +91,7 @@ class TestExtractProbes:
         li = trained.spec.conv_indices()[1]
         layer = trained.spec.layers[li]
         cfg = quick_config(probe_images=4)
-        probe = pruner.extract_probes(trained, trained.copy(), li, synth_data, cfg)
+        probe = probe_all(trained, trained.copy(), li, synth_data, cfg)
 
         w0 = trained.params[li].weights
         ids = probe.image_ids.reshape(4, -1)[:, 0]
@@ -101,10 +108,8 @@ class TestExtractProbes:
 
     def test_locations_deterministic_and_without_replacement(self, trained, synth_data):
         li = trained.spec.conv_indices()[1]
-        a = pruner.extract_probes(trained, trained.copy(), li, synth_data,
-                                  quick_config(seed=5))
-        b = pruner.extract_probes(trained, trained.copy(), li, synth_data,
-                                  quick_config(seed=5))
+        a = probe_all(trained, trained.copy(), li, synth_data, quick_config(seed=5))
+        b = probe_all(trained, trained.copy(), li, synth_data, quick_config(seed=5))
         np.testing.assert_array_equal(a.locations, b.locations)
         np.testing.assert_array_equal(a.image_ids, b.image_ids)
         n_loc = 6
@@ -114,8 +119,7 @@ class TestExtractProbes:
 
     def test_rejects_non_conv_layer(self, trained, synth_data):
         with pytest.raises(ValueError, match="not conv2d"):
-            pruner.extract_probes(trained, trained.copy(), 1, synth_data,
-                                  quick_config())
+            probe_all(trained, trained.copy(), 1, synth_data, quick_config())
 
 
 def strided_net():
@@ -130,49 +134,63 @@ def strided_net():
 
 
 def assert_probes_match(got, want):
-    for name in ("y0", "ystar", "z", "patches", "image_ids", "locations"):
+    for name in ("y0", "ystar", "patches", "image_ids", "locations"):
         a, b = getattr(got, name), getattr(want, name)
         assert a.shape == b.shape and a.dtype == b.dtype, name
         assert a.tobytes() == b.tobytes(), name
     np.testing.assert_allclose(got.grad, want.grad, rtol=1e-12, atol=0)
+    # The library sums z's nine kernel taps in a matmul, the loop in an
+    # einsum, so the two may round differently.
+    assert got.z.shape == want.z.shape
+    np.testing.assert_allclose(got.z, want.z, rtol=0, atol=1e-13 * np.abs(want.z).max())
     assert got.exhaustive == want.exhaustive
 
 
+def assert_matches_loop(uncompressed, compressed, li, dataset, cfg, start=0, stop=None):
+    """The library's sample equals the one-image-at-a-time draws, and its
+    probe of images start..stop-1 equals the per-image loop's."""
+    sample = pruner.sample_probes(compressed.spec, li, dataset, cfg)
+    want = sample_probes_loop(compressed.spec, li, dataset, cfg)
+    for name in ("image_ids", "rows", "cols"):
+        assert getattr(sample, name).tobytes() == getattr(want, name).tobytes(), name
+    assert sample.exhaustive == want.exhaustive
+    chunk = sample.chunk(start, len(sample) if stop is None else stop)
+    got = pruner.extract_probes(uncompressed, compressed, li, dataset, chunk)
+    assert_probes_match(got, extract_probes_loop(uncompressed, compressed, li,
+                                                 dataset, chunk))
+    return got
+
+
 class TestExtractProbesMatchesLoop:
-    """The chunked probe pass against one batch-size-1 backward per image."""
+    """The batched probe pass against one batch-size-1 backward per image."""
 
     def test_after_pruning_an_earlier_conv(self, trained, synth_data):
         compressed, _ = pruner.prune_model(trained, synth_data,
                                            quick_config(budgets={2: 3}))
         li = trained.spec.conv_indices()[2]
-        cfg = quick_config()
-        assert_probes_match(
-            pruner.extract_probes(trained, compressed, li, synth_data, cfg),
-            extract_probes_loop(trained, compressed, li, synth_data, cfg))
+        assert_matches_loop(trained, compressed, li, synth_data, quick_config())
 
     def test_exhaustive_locations(self, trained, synth_data):
         li = trained.spec.conv_indices()[3]  # 3x3 map
         cfg = quick_config(num_locations=12)
-        probe = pruner.extract_probes(trained, trained.copy(), li, synth_data, cfg)
+        probe = assert_matches_loop(trained, trained.copy(), li, synth_data, cfg)
         assert probe.exhaustive
-        assert_probes_match(
-            probe, extract_probes_loop(trained, trained.copy(), li, synth_data, cfg))
 
     def test_chunk_size_not_a_power_of_two(self, trained, synth_data):
-        # 70 images: a 64-image chunk, then 6, whose gradient factor is inexact.
+        # 70 images: four 16-image chunks, then 6, whose gradient factor is
+        # inexact.
         li = trained.spec.conv_indices()[1]
         cfg = quick_config(probe_images=70, num_locations=3, seed=4)
-        assert_probes_match(
-            pruner.extract_probes(trained, trained.copy(), li, synth_data, cfg),
-            extract_probes_loop(trained, trained.copy(), li, synth_data, cfg))
+        assert pruner._PROBE_CHUNK == 16
+        probe = assert_matches_loop(trained, trained.copy(), li, synth_data, cfg,
+                                    start=64, stop=70)
+        assert probe.y0.shape[0] == 6 * 3
 
     @pytest.mark.parametrize("li", [2, 4])
     def test_unpadded_and_strided_convs(self, synth_data, li):
         uncompressed, compressed = strided_net()
         cfg = quick_config(probe_images=20, num_locations=5)
-        assert_probes_match(
-            pruner.extract_probes(uncompressed, compressed, li, synth_data, cfg),
-            extract_probes_loop(uncompressed, compressed, li, synth_data, cfg))
+        assert_matches_loop(uncompressed, compressed, li, synth_data, cfg)
 
 
 def hand_probe():
@@ -295,9 +313,9 @@ class TestRefitLayer:
         li = trained.spec.conv_indices()[1]
         _, ho, wo = trained.spec.activation_dims()[li]
         cfg = quick_config(probe_images=48, num_locations=ho * wo)
-        probe = pruner.extract_probes(trained, trained.copy(), li, synth_data, cfg)
+        probe = probe_all(trained, trained.copy(), li, synth_data, cfg)
         c_in = trained.spec.layers[li].in_channels
-        out = pruner.refit_layer(probe, range(c_in), trained.params[li].bias)
+        out = pruner.refit_layer(probe, range(c_in), trained.params[li])
         pmat = probe.patches.reshape(probe.patches.shape[0], -1)
         reproduced = pmat @ out.weights.reshape(out.weights.shape[0], -1).T \
             + (out.bias - trained.params[li].bias)
@@ -315,29 +333,106 @@ class TestRefitLayer:
         li = spec.conv_indices()[1]
         _, ho, wo = spec.activation_dims()[li]
         cfg = quick_config(probe_images=48, num_locations=ho * wo)
-        probe = pruner.extract_probes(ckpt, ckpt.copy(), li, synth_data, cfg)
+        probe = probe_all(ckpt, ckpt.copy(), li, synth_data, cfg)
         c_in = spec.layers[li].in_channels
-        out = pruner.refit_layer(probe, range(c_in), ckpt.params[li].bias)
+        out = pruner.refit_layer(probe, range(c_in), ckpt.params[li])
         np.testing.assert_allclose(out.weights, ckpt.params[li].weights, atol=1e-8)
         np.testing.assert_allclose(out.bias, ckpt.params[li].bias, atol=1e-8)
 
     def test_empty_support_rejected(self, trained, synth_data):
         li = trained.spec.conv_indices()[1]
-        probe = pruner.extract_probes(trained, trained.copy(), li, synth_data,
-                                      quick_config())
+        probe = probe_all(trained, trained.copy(), li, synth_data, quick_config())
         with pytest.raises(ValueError, match="at least one channel"):
-            pruner.refit_layer(probe, [], trained.params[li].bias)
+            pruner.refit_layer(probe, [], trained.params[li])
 
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_refit_beats_zero_fill_on_probes(self, trained, synth_data, seed):
         rng = np.random.default_rng(seed)
         li = trained.spec.conv_indices()[1]
         c_in = trained.spec.layers[li].in_channels
-        probe = pruner.extract_probes(trained, trained.copy(), li, synth_data,
+        probe = probe_all(trained, trained.copy(), li, synth_data,
                                       quick_config(seed=seed))
         support = sorted(rng.choice(c_in, size=c_in // 2, replace=False).tolist())
-        out = pruner.refit_layer(probe, support, trained.params[li].bias)
+        out = pruner.refit_layer(probe, support, trained.params[li])
         assert out.residual_after <= out.residual_before + 1e-12
+
+
+    def test_residual_before_is_the_zero_fill_of_the_dropped_channels(self, trained,
+                                                                      synth_data):
+        li = trained.spec.conv_indices()[2]
+        probe = probe_all(trained, trained.copy(), li, synth_data, quick_config())
+        support = [0, 3, 5]
+        out = pruner.refit_layer(probe, support, trained.params[li])
+        kept = probe.z[:, :, support].sum(axis=2)
+        assert out.residual_before == pytest.approx(
+            float(((probe.y0 - kept) ** 2).sum()), rel=1e-12)
+
+
+def stream_system(uncompressed, compressed, li, dataset, cfg):
+    """The selection system of conv `li` streamed chunk by chunk, as a pruning
+    stage builds it."""
+    sample = pruner.sample_probes(compressed.spec, li, dataset, cfg)
+    stream = solvers.SystemStream()
+    for start in range(0, len(sample), pruner._PROBE_CHUNK):
+        chunk = sample.chunk(start, start + pruner._PROBE_CHUNK)
+        probe = pruner.extract_probes(uncompressed, compressed, li, dataset, chunk)
+        stream.add(pruner.build_weighted_system(probe, cfg.variant, cfg.gamma))
+    return stream.system()
+
+
+class TestStreamedSelection:
+    """Selection on the streamed triangular factor against the dense
+    whole-sample system."""
+
+    @pytest.mark.parametrize("variant", [v for v in pruner.VARIANTS
+                                         if v != pruner.VARIANT_MAGNITUDE])
+    @pytest.mark.parametrize("ordinal", [2, 3])
+    def test_matches_the_dense_oracle(self, trained, synth_data, variant, ordinal):
+        # 40 images: chunks of 16, 16 and 8 against one 40-image probe.
+        li = trained.spec.conv_indices()[ordinal - 1]
+        cfg = quick_config(probe_images=40, variant=variant, gamma=1.5)
+        streamed = stream_system(trained, trained.copy(), li, synth_data, cfg)
+        probe = probe_all(trained, trained.copy(), li, synth_data, cfg)
+        dense = solvers.WeightedSystem(*dense_weighted_system(probe, variant, 1.5))
+        assert streamed.rows <= streamed.cols + 1 < dense.rows
+        for budget in range(1, dense.cols):
+            got = solvers.lambda_search(streamed, budget)
+            want = solvers.lambda_search(dense, budget)
+            assert got.support == want.support
+            assert got.lambda_final == pytest.approx(want.lambda_final, rel=1e-9)
+            assert got.residual_norm == pytest.approx(want.residual_norm, rel=1e-9)
+
+    def test_duplicated_producer_filter_merges_across_chunks(self, trained,
+                                                             synth_data):
+        # Conv 1's filter 4 copies filter 1 and conv 2 reads both alike, so
+        # columns 1 and 4 of A are bit-identical in every chunk.
+        twin = trained.copy()
+        w, b = twin.params[0].weights.copy(), twin.params[0].bias.copy()
+        w[4], b[4] = w[1], b[1]
+        twin.params[0] = nn.LayerParams(w, b)
+        li = trained.spec.conv_indices()[1]
+        w2 = twin.params[li].weights.copy()
+        w2[:, 4] = w2[:, 1]
+        twin.params[li] = nn.LayerParams(w2, twin.params[li].bias)
+        system = stream_system(twin, twin.copy(), li, synth_data, quick_config())
+        assert system.first_copy.tolist() == [0, 1, 2, 3, 1, 5]
+        for budget in range(1, 6):
+            res = solvers.lambda_search(system, budget)
+            assert res.beta[4] == 0.0 and not {1, 4} <= set(res.support)
+
+    def test_dead_channel_column_stays_exactly_zero(self, trained, synth_data):
+        # Conv 1's channel 2 is -1 before its ReLU everywhere, so conv 2
+        # never sees it.
+        dead = trained.copy()
+        w, b = dead.params[0].weights.copy(), dead.params[0].bias.copy()
+        w[2], b[2] = 0.0, -1.0
+        dead.params[0] = nn.LayerParams(w, b)
+        li = trained.spec.conv_indices()[1]
+        system = stream_system(dead, dead.copy(), li, synth_data, quick_config())
+        assert not system.a[:, 2].any() and system.col_sq_norms[2] == 0.0
+        assert system.a[:, [0, 1, 3, 4, 5]].any(axis=0).all()
+        for budget in range(1, 6):
+            assert 2 not in solvers.lambda_search(system, budget).support
 
 
 class TestPruneModel:
@@ -437,13 +532,16 @@ class TestPruneModel:
 
         monkeypatch.setattr(pruner, "extract_probes", probes)
         monkeypatch.setattr(pruner, "build_weighted_system", system)
+        # 48 probe images are three chunks at each of three convs; each probe
+        # call finds the previous chunk's z and rows of A freed, across
+        # stages too.
         pruner.prune_model(trained, synth_data, quick_config(flops_target=2.0))
-        assert dead == [[], [True, True], [True, True]]
+        assert dead == [[]] + [[True, True]] * 8
 
     def test_previous_chunk_is_freed_before_the_next_forward(self, trained, synth_data,
                                                              monkeypatch):
-        # 150 probe images are three chunks per conv; each chunk ends with
-        # its one backward.
+        # 150 probe images are ten chunks per conv; each chunk ends with its
+        # one backward.
         real_forward, real_backward = nn.forward_collect, nn.backward_collect
         chunk, finished, dead = [], [], []
 
@@ -506,6 +604,30 @@ class TestPruneModel:
                 assert all(t.lambda_final is None for t in traces)
             else:
                 assert all(t.lambda_final is not None for t in traces)
+
+
+class TestPruneMemory:
+    def test_peak_grows_only_by_the_refit_targets(self):
+        # A 2x prune of the default 16-32-32-64 net on 28x28 inputs.  The
+        # selection system is streamed, so more probe images add only the
+        # y0 and patches rows the refit keeps: at the largest conv (64
+        # outputs, 32 inputs of 3x3) 8 * (64 + 32 * 9) bytes per row.
+        data = model_io.synth_dataset(0, 300, 10, dims=(1, 28, 28), split="train")
+        cfg = harness.TrainConfig(epochs=1, batch_size=32, lr=0.01, decay_points=())
+        ckpt = harness.train(harness.desk_net(), data, cfg)
+
+        def peak(probe_images):
+            tracemalloc.start()
+            try:
+                pruner.prune_model(ckpt, data, pruner.PruneConfig(
+                    flops_target=2.0, probe_images=probe_images))
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        small, large = peak(64), peak(256)
+        targets = (256 - 64) * 10 * 8 * (64 + 32 * 9)
+        assert large - small <= targets + 0.1 * small
 
 
 class TestResolveBudgets:

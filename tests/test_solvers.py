@@ -401,7 +401,7 @@ class TestLambdaSearch:
 
 
 class TestBackfill:
-    """Greedy backfill on the normal equations against lstsq over A itself."""
+    """Greedy backfill against the same picks made by lstsq over A itself."""
 
     @pytest.mark.parametrize("seed", range(6))
     def test_matches_lstsq_over_a_with_singular_restricted_gram(self, seed):
@@ -453,6 +453,83 @@ class TestBackfill:
         start = np.flatnonzero(res.beta).tolist()
         assert 1 <= len(start) < 5
         assert res.support == greedy_backfill(sys_.a, sys_.b, start, 5)
+
+
+def streamed(a, b, sizes):
+    """(A, b) fed to a SystemStream in row blocks of the given sizes."""
+    stream = solvers.SystemStream()
+    edges = np.cumsum([0, *sizes])
+    assert edges[-1] == len(b)
+    for lo, hi in zip(edges[:-1], edges[1:]):
+        stream.add(solvers.WeightedSystem(a[lo:hi], b[lo:hi]))
+    return stream.system()
+
+
+class TestSystemStream:
+    @pytest.mark.parametrize("seed", range(6))
+    def test_selection_matches_the_dense_system(self, seed):
+        # The first block has fewer rows than columns + 1.
+        rng = np.random.default_rng(seed)
+        sys_ = random_system(rng, rows=60, cols=8, sparsity=4, noise=0.3,
+                             scale_cols=True)
+        r = streamed(sys_.a, sys_.b, [3, 17, 1, 39])
+        assert r.a.shape == (9, 8)
+        beta = rng.normal(size=8)
+        assert np.linalg.norm(r.b - r.a @ beta) == pytest.approx(
+            np.linalg.norm(sys_.b - sys_.a @ beta), rel=1e-12)
+        for budget in range(1, 9):
+            got = solvers.lambda_search(r, budget)
+            want = solvers.lambda_search(sys_, budget)
+            assert got.support == want.support
+            assert got.lambda_final == pytest.approx(want.lambda_final, rel=1e-9)
+            assert got.residual_norm == pytest.approx(want.residual_norm, rel=1e-9)
+
+    def test_bit_identical_columns_merge_across_blocks(self, rng):
+        a = rng.normal(size=(30, 6))
+        a[:, 4] = a[:, 1]
+        a[:, 5] = a[:, 1]
+        r = streamed(a, rng.normal(size=30), [4, 10, 16])
+        assert r.first_copy.tolist() == [0, 1, 2, 3, 1, 1]
+        assert not np.array_equal(r.a[:, 1], r.a[:, 4])  # R's copies differ
+
+    def test_columns_equal_in_the_first_block_only_do_not_merge(self, rng):
+        # 1, 3 and 5 agree on the first block; on the second only 3 and 5 do.
+        a = rng.normal(size=(20, 6))
+        a[:8, 3] = a[:8, 1]
+        a[:, 5] = a[:, 3]
+        a[:8, 4] = a[:8, 0]
+        r = streamed(a, rng.normal(size=20), [8, 12])
+        assert r.first_copy.tolist() == [0, 1, 2, 3, 4, 3]
+
+    def test_zero_column_stays_exactly_zero(self, rng):
+        a = rng.normal(size=(40, 5))
+        a[:, 2] = 0.0
+        a[:, 4] = 0.0
+        r = streamed(a, rng.normal(size=40), [2, 20, 18])
+        assert not r.a[:, [2, 4]].any()
+        assert r.col_sq_norms[[0, 1, 3]].all()
+        assert r.first_copy.tolist() == [0, 1, 2, 3, 4]
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_backfill_on_nearly_collinear_columns(self, seed):
+        # TestBackfill's near-duplicate pair, through the factor: its
+        # columns keep cond(A_S), about 1e9, so the picks still match lstsq
+        # over A itself.
+        rng = np.random.default_rng(seed)
+        a = rng.normal(size=(30, 8)) * rng.uniform(0.2, 3.0, size=8)
+        a[:, 5] = a[:, 2] + 1e-9 * rng.normal(size=30)
+        b = a @ rng.normal(size=8) + 0.3 * rng.normal(size=30)
+        r = streamed(a, b, [5, 25])
+        floor = 4.0 * np.abs(r.corr()).max()
+        for budget in range(1, 9):
+            res = solvers.lambda_search(r, budget, lambda_floor=floor)
+            assert res.support == greedy_backfill(a, b, [], budget)
+            want = subset_residual(a, b, res.support)
+            assert res.residual_norm == pytest.approx(want, rel=1e-6)
+
+    def test_empty_stream_rejected(self):
+        with pytest.raises(ValueError, match="no rows"):
+            solvers.SystemStream().system()
 
 
 class TestLeastSquaresRefit:
