@@ -105,6 +105,8 @@ def sample_probes(spec: nn.NetworkSpec, layer_index: int,
     _, ho, wo = spec.activation_dims()[layer_index]
     rng = np.random.default_rng([config.seed, layer_index])
     n_avail = len(dataset)
+    if n_avail == 0:
+        raise ValueError("no probe images: the dataset is empty")
     n_images = min(config.probe_images, n_avail)
     image_ids = np.sort(rng.choice(n_avail, size=n_images, replace=False))
     n_loc = min(config.num_locations, ho * wo)
@@ -167,7 +169,7 @@ def extract_probes(uncompressed: model_io.Checkpoint, compressed: model_io.Check
     if layer.kind != nn.CONV2D:
         raise ValueError(f"layer {layer_index} is {layer.kind}, not conv2d")
     kh, kw = layer.kernel
-    c_in, taps = layer.in_channels, kh * kw
+    c_in = layer.in_channels
     c_out, ho, wo = compressed.spec.activation_dims()[layer_index]
     ids, rows, cols = sample.image_ids, sample.rows, sample.cols
     n = len(ids)
@@ -188,12 +190,7 @@ def extract_probes(uncompressed: model_io.Checkpoint, compressed: model_io.Check
     # im2col rows run over (image, output row, output column).
     patches = trace_c.cols[layer_index][(k * ho + rows) * wo + cols].reshape(
         -1, c_in, kh, kw)
-    # z[p, i, j] sums patches[p, j] * w0[i, j] over the kernel taps: one
-    # (probes x taps) @ (taps x c_out) product per input channel j.
-    w0 = uncompressed.params[layer_index].weights
-    z = np.ascontiguousarray(np.matmul(
-        patches.reshape(-1, c_in, taps).transpose(1, 0, 2),
-        w0.reshape(c_out, c_in, taps).transpose(1, 2, 0)).transpose(1, 2, 0))
+    z = np.einsum("pjuv,ijuv->pij", patches, uncompressed.params[layer_index].weights)
     return FeatureProbe(y0=y0, patches=patches, layer_index=layer_index, ystar=ystar,
                         grad=grad, z=z, image_ids=np.repeat(ids, rows.shape[1]),
                         locations=np.stack([rows.ravel(), cols.ravel()], axis=1),

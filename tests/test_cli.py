@@ -75,6 +75,16 @@ class TestPruneFinetune:
         pruned = model_io.load_checkpoint(out)
         assert pruned.spec.layers[0].out_channels == 3
 
+    @pytest.mark.parametrize("variant", ["cpli", "magnitude"])
+    def test_prune_on_empty_dataset(self, ckpt_path, tmp_path, capsys, variant):
+        code = run(["prune", "--checkpoint", str(ckpt_path),
+                    "--data", "synth:count=0,classes=3,dims=1x12x12",
+                    "--out", str(tmp_path / "p.ckpt"), "--budgets", "2=3",
+                    "--variant", variant])
+        assert code == 1
+        assert capsys.readouterr().err == "error: no probe images: the dataset is empty\n"
+        assert not (tmp_path / "p.ckpt").exists()
+
     def test_prune_requires_budget_or_cr(self, ckpt_path, tmp_path, capsys):
         code = run(["prune", "--checkpoint", str(ckpt_path), "--data", DATA,
                     "--out", str(tmp_path / "p.ckpt")])
