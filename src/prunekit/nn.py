@@ -272,19 +272,24 @@ def _conv_forward(x: np.ndarray, weights: np.ndarray, bias: np.ndarray | None,
 
 
 def _conv_backward(cols: np.ndarray, x_shape, weights: np.ndarray, stride: int,
-                   padding: int, d_out: np.ndarray, need_dx: bool = True):
+                   padding: int, d_out: np.ndarray, need_dx: bool = True,
+                   need_dw: bool = True):
     """(dx, dw, db) of a conv from its forward's im2col matrix.
 
     dx is accumulated channels-last, one strided add per kernel offset in
     (u, v) order, and returned as an (n, c_in, h, w) view of that buffer;
-    it is None, and not computed, when `need_dx` is False.
+    it is None, and not computed, when `need_dx` is False.  dw and db are
+    None, and not computed, when `need_dw` is False.
     """
     c_out, c_in, kh, kw = weights.shape
     n, _, h, w = x_shape
     ho, wo = d_out.shape[2], d_out.shape[3]
 
-    dw = np.dot(d_out.transpose(1, 0, 2, 3).reshape(c_out, -1), cols).reshape(weights.shape)
-    db = d_out.sum(axis=(0, 2, 3))
+    dw = db = None
+    if need_dw:
+        dw = np.dot(d_out.transpose(1, 0, 2, 3).reshape(c_out, -1),
+                    cols).reshape(weights.shape)
+        db = d_out.sum(axis=(0, 2, 3))
     if not need_dx:
         return None, dw, db
 
@@ -386,9 +391,13 @@ def linear_forward(x: np.ndarray, weights: np.ndarray, bias: np.ndarray) -> np.n
     return x @ weights.T + bias
 
 
-def linear_backward(x: np.ndarray, weights: np.ndarray, d_out: np.ndarray):
-    dw = d_out.T @ x
-    db = d_out.sum(axis=0)
+def linear_backward(x: np.ndarray, weights: np.ndarray, d_out: np.ndarray,
+                    need_dw: bool = True):
+    """(dx, dw, db) of a linear layer; dw and db are None when `need_dw` is False."""
+    dw = db = None
+    if need_dw:
+        dw = d_out.T @ x
+        db = d_out.sum(axis=0)
     dx = d_out @ weights
     return dx, dw, db
 
@@ -509,15 +518,17 @@ def predict(spec: NetworkSpec, params: list[LayerParams | None], x) -> np.ndarra
 
 def backward_collect(spec: NetworkSpec, params: list[LayerParams | None],
                      trace: ForwardTrace, labels, stop: int = 0,
-                     wrt_input: bool = True) -> Gradients:
+                     wrt_input: bool = True, wrt_weights: bool = True) -> Gradients:
     """Backpropagate mean cross-entropy against `labels` through a forward trace.
 
     `stop` is the lowest layer index the pass visits: layers below it get
     no weight gradient, activations[i] is filled for i >= stop - 1 only, and
     `wrt_input` is None unless stop == 0.  With `wrt_input=False` a first
     conv skips its input gradient, which training never reads, and
-    `Gradients.wrt_input` is None.  Everything that is filled is
-    bit-identical to the full pass.
+    `Gradients.wrt_input` is None.  With `wrt_weights=False` conv and linear
+    layers compute only their input gradient, as a probe that reads
+    activation gradients needs, and every `Gradients.weights` entry is None.
+    Everything that is filled is bit-identical to the full pass.
     """
     labels = np.atleast_1d(np.asarray(labels, dtype=np.int64))
     n = trace.x.shape[0]
@@ -549,8 +560,9 @@ def backward_collect(spec: NetworkSpec, params: list[LayerParams | None],
         if layer.kind == CONV2D:
             dx, dw, db = _conv_backward(trace.cols[i], x_in.shape, params[i].weights,
                                         layer.stride, layer.padding, grad,
-                                        i > 0 or wrt_input)
-            weight_grads[i] = LayerParams(dw, db)
+                                        i > 0 or wrt_input, wrt_weights)
+            if wrt_weights:
+                weight_grads[i] = LayerParams(dw, db)
             grad = dx
         elif layer.kind == RELU:
             grad = relu_backward(trace.outputs[i], grad)
@@ -560,8 +572,9 @@ def backward_collect(spec: NetworkSpec, params: list[LayerParams | None],
         elif layer.kind == FLATTEN:
             grad = grad.reshape(x_in.shape)
         elif layer.kind == LINEAR:
-            dx, dw, db = linear_backward(x_in, params[i].weights, grad)
-            weight_grads[i] = LayerParams(dw, db)
+            dx, dw, db = linear_backward(x_in, params[i].weights, grad, wrt_weights)
+            if wrt_weights:
+                weight_grads[i] = LayerParams(dw, db)
             grad = dx
         if i > 0:
             act_grads[i - 1] = grad

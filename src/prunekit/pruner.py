@@ -28,6 +28,9 @@ VARIANT_CP_BASELINE = "cp_baseline"
 VARIANT_MAGNITUDE = "magnitude"
 VARIANTS = (VARIANT_CPLI, VARIANT_NO_FL, VARIANT_NO_FI, VARIANT_CP_BASELINE,
             VARIANT_MAGNITUDE)
+# The variants whose selection rows are weighted by the loss gradient; only
+# their probes run a backward.
+GRADIENT_VARIANTS = (VARIANT_CPLI, VARIANT_NO_FI)
 
 _PROBE_CHUNK = 16
 
@@ -135,12 +138,13 @@ class FeatureProbe(RefitTargets):
     y0 over the uncompressed input decomposes exactly into the per-input-
     channel contributions z.  Arrays are indexed [probe, out_channel] and
     z is [probe, out_channel, in_channel]; `patches` holds the compressed
-    model's input receptive fields for the refit step.
+    model's input receptive fields for the refit step.  `grad` is None when
+    the probe was taken without the loss gradient.
     """
 
     layer_index: int
     ystar: np.ndarray
-    grad: np.ndarray
+    grad: np.ndarray | None
     z: np.ndarray
     image_ids: np.ndarray
     locations: np.ndarray
@@ -149,7 +153,7 @@ class FeatureProbe(RefitTargets):
 
 def extract_probes(uncompressed: model_io.Checkpoint, compressed: model_io.Checkpoint,
                    layer_index: int, dataset: model_io.DatasetHandle,
-                   sample: ProbeSample) -> FeatureProbe:
+                   sample: ProbeSample, gradient: bool = True) -> FeatureProbe:
     """Probe records of the sampled images as one batch, rows in (image,
     location) order.
 
@@ -158,12 +162,14 @@ def extract_probes(uncompressed: model_io.Checkpoint, compressed: model_io.Check
     bit-equal up to it; ystar, the loss gradient, the input patches (rows of
     the probed conv's im2col matrix) and the contributions z come from the
     current compressed model, with z evaluated against the uncompressed
-    layer weights.  That is at most two forwards and one backward, which
-    stops at the probed layer's output, the only gradient needed.  Mean
-    cross-entropy is a sum of per-image terms and no layer couples images,
-    so the batch gradient times the batch size is each image's own
-    batch-size-1 gradient.  A pruning stage calls this once per chunk of
-    its sample.
+    layer weights.  That is at most two forwards and, with `gradient`, one
+    activation-only backward, which stops at the probed layer's output, the
+    only gradient needed.  Mean cross-entropy is a sum of per-image terms
+    and no layer couples images, so the batch gradient times the batch size
+    is each image's own batch-size-1 gradient.  Without `gradient` the
+    compressed forward stops at the probed layer too, no backward runs and
+    `grad` is None.  A pruning stage calls this once per chunk of its
+    sample.
     """
     layer = compressed.spec.layers[layer_index]
     if layer.kind != nn.CONV2D:
@@ -172,27 +178,38 @@ def extract_probes(uncompressed: model_io.Checkpoint, compressed: model_io.Check
     c_in = layer.in_channels
     c_out, ho, wo = compressed.spec.activation_dims()[layer_index]
     ids, rows, cols = sample.image_ids, sample.rows, sample.cols
-    n = len(ids)
+    n, n_loc = rows.shape
     batch = dataset.images[ids]
-    trace_c = nn.forward_collect(compressed.spec, compressed.params, batch)
+    trace_c = nn.forward_collect(compressed.spec, compressed.params, batch,
+                                 upto=None if gradient else layer_index)
     trace_u = trace_c if _same_prefix(uncompressed, compressed, layer_index) else \
         nn.forward_collect(uncompressed.spec, uncompressed.params, batch,
                            upto=layer_index)
-    grads = nn.backward_collect(compressed.spec, compressed.params, trace_c,
-                                dataset.labels[ids], stop=layer_index + 1)
     # Fancy indexing puts the (image, location) axes first: (n, n_loc, ...).
     k = np.arange(n)[:, None]
+    grad = None
+    if gradient:
+        grads = nn.backward_collect(compressed.spec, compressed.params, trace_c,
+                                    dataset.labels[ids], stop=layer_index + 1,
+                                    wrt_weights=False)
+        grad = (grads.activations[layer_index][k, :, rows, cols] * n).reshape(-1, c_out)
     b0 = uncompressed.params[layer_index].bias
     y0 = (trace_u.outputs[layer_index][k, :, rows, cols] - b0).reshape(-1, c_out)
     b_cur = compressed.params[layer_index].bias
     ystar = (trace_c.outputs[layer_index][k, :, rows, cols] - b_cur).reshape(-1, c_out)
-    grad = (grads.activations[layer_index][k, :, rows, cols] * n).reshape(-1, c_out)
     # im2col rows run over (image, output row, output column).
     patches = trace_c.cols[layer_index][(k * ho + rows) * wo + cols].reshape(
         -1, c_in, kh, kw)
-    z = np.einsum("pjuv,ijuv->pij", patches, uncompressed.params[layer_index].weights)
+    # z[p, i, j] = <patches[p, j], w0[i, j]>: one GEMM per (input channel,
+    # image), (n_loc, kh*kw) @ (kh*kw, c_out), broadcast over both axes.
+    # Input channels are the outer axis in memory, so z is a view whose
+    # rows of A, built from it, come out column-major as the fold wants.
+    w0 = uncompressed.params[layer_index].weights.reshape(c_out, c_in, kh * kw)
+    z = np.matmul(patches.reshape(n, n_loc, c_in, kh * kw).transpose(2, 0, 1, 3),
+                  w0.transpose(1, 2, 0)[:, None])
+    z = z.reshape(c_in, n * n_loc, c_out).transpose(1, 2, 0)
     return FeatureProbe(y0=y0, patches=patches, layer_index=layer_index, ystar=ystar,
-                        grad=grad, z=z, image_ids=np.repeat(ids, rows.shape[1]),
+                        grad=grad, z=z, image_ids=np.repeat(ids, n_loc),
                         locations=np.stack([rows.ravel(), cols.ravel()], axis=1),
                         exhaustive=sample.exhaustive)
 
@@ -215,22 +232,19 @@ def build_weighted_system(probe: FeatureProbe, variant: str,
 
     Row weights (g, s) by variant -- cpli: (grad, gamma*ystar);
     cpli_no_fl: (1, gamma*ystar); cpli_no_fi: (grad, 1); cp_baseline: (1, 1).
-    Each row is b = g*y0, A[j] = g*s*z_j.  A pruning stage builds this per
-    probe chunk and folds it into a `solvers.SystemStream`.
+    Each row is b = g*y0, A[j] = g*s*z_j.  Only the `GRADIENT_VARIANTS` read
+    `probe.grad`.  A pruning stage builds this per probe chunk and folds it
+    into a `solvers.SystemStream`.
     """
-    if variant == VARIANT_CPLI:
-        g, s = probe.grad, gamma * probe.ystar
-    elif variant == VARIANT_NO_FL:
-        g, s = np.ones_like(probe.y0), gamma * probe.ystar
-    elif variant == VARIANT_NO_FI:
-        g, s = probe.grad, np.ones_like(probe.y0)
-    elif variant == VARIANT_CP_BASELINE:
-        g, s = np.ones_like(probe.y0), np.ones_like(probe.y0)
-    else:
+    if variant not in VARIANTS or variant == VARIANT_MAGNITUDE:
         raise ValueError(f"variant {variant!r} does not use a weighted system")
+    if variant in GRADIENT_VARIANTS and probe.grad is None:
+        raise ValueError(f"variant {variant!r} needs a probe with the loss gradient")
+    g = probe.grad if variant in GRADIENT_VARIANTS else 1.0
+    s = gamma * probe.ystar if variant in (VARIANT_CPLI, VARIANT_NO_FL) else 1.0
     total, c_out = probe.y0.shape
     b = (g * probe.y0).reshape(total * c_out)
-    a = ((g * s)[:, :, None] * probe.z).reshape(total * c_out, -1)
+    a = (np.expand_dims(g * s, -1) * probe.z).reshape(total * c_out, -1)
     return solvers.WeightedSystem(a, b)
 
 
@@ -452,10 +466,11 @@ def _prune_stage(uncompressed: model_io.Checkpoint, compressed: model_io.Checkpo
     """Probe, select, refit and rewrite one conv; returns the new model and
     the stage's trace.
 
-    The sample's images are probed in chunks of `_PROBE_CHUNK`.  Each
-    chunk's y0 and patches are kept for the refit, and its selection rows
-    are folded into a `solvers.SystemStream`, so the stage never holds the
-    whole sample's z, ystar, gradients or design matrix.  Earlier stages
+    The sample's images are probed in chunks of `_PROBE_CHUNK`, with the
+    loss gradient only for the `GRADIENT_VARIANTS`.  Each chunk's y0 and
+    patches are kept for the refit, and its selection rows are folded into
+    a `solvers.SystemStream`, so the stage never holds the whole sample's
+    z, ystar, gradients or design matrix.  Earlier stages
     rewrote only convs before this one, so its parameters are still the
     uncompressed ones.
     """
@@ -505,7 +520,8 @@ def _probe_chunk(uncompressed: model_io.Checkpoint, compressed: model_io.Checkpo
     selection rows into `stream`.  Everything else the chunk made (forward
     traces, gradients, z, its rows of A) is freed on return, before the
     next chunk's forwards."""
-    probe = extract_probes(uncompressed, compressed, layer_index, dataset, chunk)
+    probe = extract_probes(uncompressed, compressed, layer_index, dataset, chunk,
+                           gradient=config.variant in GRADIENT_VARIANTS)
     targets.y0[at] = probe.y0
     targets.patches[at] = probe.patches
     if stream is not None:

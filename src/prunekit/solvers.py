@@ -36,18 +36,28 @@ def _narrow_copies(first: np.ndarray | None, a: np.ndarray) -> np.ndarray:
     `first[j]` is the lowest index of j's group of candidate twins (None
     makes every column a candidate).  In the result, j maps to the lowest
     member of its group whose column of `a` is bit-identical to its own.
-    Twins have bit-equal squared norms, so only those pairs are compared,
-    and columns outside a group of two or more are not read.
+    Twins have equal minima and maxima, which are exact whatever the
+    memory layout, so only columns that agree on both are compared,
+    all-zero columns pair without a comparison, and columns outside a
+    group of two or more are not read.
     """
     cols = a.shape[1]
     out = np.arange(cols)
     if first is None:
-        first = np.zeros(cols, dtype=np.int64)
-    grouped = np.flatnonzero(np.bincount(first, minlength=cols)[first] > 1)
-    sq = (a[:, grouped] * a[:, grouped]).sum(axis=0)
-    leads: dict[tuple[int, float], list[int]] = {}
-    for j, norm in zip(grouped.tolist(), sq.tolist()):
-        seen = leads.setdefault((int(first[j]), norm), [])
+        first, grouped, sub = np.zeros(cols, dtype=np.int64), out, a
+    else:
+        grouped = np.flatnonzero(np.bincount(first, minlength=cols)[first] > 1)
+        if not len(grouped):
+            return out
+        sub = a[:, grouped]
+    keys = zip(first[grouped].tolist(), sub.min(axis=0).tolist(),
+               sub.max(axis=0).tolist())
+    leads: dict[tuple[int, float, float], list[int]] = {}
+    for j, key in zip(grouped.tolist(), keys):
+        seen = leads.setdefault(key, [])
+        if seen and key[1] == key[2] == 0.0:
+            out[j] = seen[0]
+            continue
         for i in seen:
             if np.array_equal(a[:, i], a[:, j]):
                 out[j] = i
@@ -80,7 +90,12 @@ class WeightedSystem:
     _corr: np.ndarray | None = field(default=None, init=False, repr=False)
 
     def __post_init__(self):
-        self.a = np.ascontiguousarray(self.a, dtype=np.float64)
+        # A column-major A, as a pruning stage builds its streamed blocks,
+        # is kept so; `SystemStream` copies it into LAPACK's layout by
+        # columns.  Any other A is made C-contiguous.
+        self.a = np.asarray(self.a, dtype=np.float64)
+        if not self.a.flags.f_contiguous:
+            self.a = np.ascontiguousarray(self.a)
         self.b = np.ascontiguousarray(self.b, dtype=np.float64)
         if self.a.ndim != 2 or self.b.ndim != 1:
             raise ValueError("system requires a 2-d design matrix and 1-d target")
@@ -134,24 +149,43 @@ class SystemStream:
     identical-column map is found on the blocks themselves: the first block
     proposes groups and every later block narrows them.  An all-zero column
     of A stays exactly zero in R, since Householder QR leaves a zero column
-    untouched.
+    untouched.  Each fold writes [R; A_c | b_c] into one column-major
+    buffer that LAPACK's Householder QR (dgeqrf) overwrites in place, with
+    the workspace size `np.linalg.qr` asks for, so R has the same bits as
+    `np.linalg.qr(..., mode="r")` of the stacked rows.
     """
 
     def __init__(self):
         self.r: np.ndarray | None = None
         self.copies: np.ndarray | None = None
+        self._lwork: int | None = None
 
     def add(self, block: WeightedSystem) -> None:
         self.copies = _narrow_copies(self.copies, block.a)
-        rows = np.column_stack([block.a, block.b])
-        if self.r is not None:
-            rows = np.vstack([self.r, rows])
-        self.r = np.linalg.qr(rows, mode="r")
+        held = 0 if self.r is None else self.r.shape[0]
+        rows = np.empty((held + block.rows, block.cols + 1), order="F")
+        if held:
+            rows[:held] = self.r
+        rows[held:, :-1] = block.a
+        rows[held:, -1] = block.b
+        if self._lwork is None:
+            work, info = scipy.linalg.lapack.dgeqrf_lwork(*rows.shape)
+            _check_lapack("dgeqrf_lwork", info)
+            self._lwork = max(int(work), 1)
+        qr, _, _, info = scipy.linalg.lapack.dgeqrf(rows, lwork=self._lwork,
+                                                    overwrite_a=True)
+        _check_lapack("dgeqrf", info)
+        self.r = np.triu(qr[:min(qr.shape)])
 
     def system(self) -> WeightedSystem:
         if self.r is None:
             raise ValueError("no rows were streamed")
         return WeightedSystem(self.r[:, :-1], self.r[:, -1], copies=self.copies)
+
+
+def _check_lapack(routine: str, info: int) -> None:
+    if info != 0:
+        raise np.linalg.LinAlgError(f"LAPACK {routine} failed with info={info}")
 
 
 @dataclass

@@ -292,12 +292,15 @@ def sample_probes_loop(spec, layer_index, dataset, config):
                               exhaustive=ho * wo < config.num_locations)
 
 
-def extract_probes_loop(uncompressed, compressed, layer_index, dataset, sample):
+def extract_probes_loop(uncompressed, compressed, layer_index, dataset, sample,
+                        gradient=True):
     """`pruner.extract_probes` with one batch-size-1 backward per probe image.
 
     The forwards run over the sample's images as one batch, as the
-    library's do; each image's gradient comes from its own backward pass
-    and each receptive field from an explicit slice.
+    library's do; each image's gradient comes from its own full backward
+    pass (none without `gradient`, and `grad` is None), each receptive
+    field from an explicit slice, and each image's z from one matmul per
+    input channel, (locations, kh*kw) @ (kh*kw, c_out).
     """
     layer = compressed.spec.layers[layer_index]
     kh, kw = layer.kernel
@@ -305,6 +308,8 @@ def extract_probes_loop(uncompressed, compressed, layer_index, dataset, sample):
     pad, stride = layer.padding, layer.stride
 
     w0 = uncompressed.params[layer_index].weights
+    c_out, c_in = w0.shape[:2]
+    w0_taps = w0.reshape(c_out, c_in, kh * kw).transpose(1, 2, 0)
     b0 = uncompressed.params[layer_index].bias
     b_cur = compressed.params[layer_index].bias
     y0, ystar, grad, z, patches, ids_out, locs_out = ([] for _ in range(7))
@@ -314,29 +319,31 @@ def extract_probes_loop(uncompressed, compressed, layer_index, dataset, sample):
     trace_c = nn.forward_collect(compressed.spec, compressed.params,
                                  dataset.images[ids])
     for k, image in enumerate(ids):
-        # im2col rows run over (image, output row, output column).
-        single = nn.ForwardTrace(
-            x=trace_c.x[k:k + 1], outputs=[o[k:k + 1] for o in trace_c.outputs],
-            logits=trace_c.logits[k:k + 1],
-            cols={i: c.reshape(len(ids), -1, c.shape[1])[k]
-                  for i, c in trace_c.cols.items()})
-        grads = nn.backward_collect(compressed.spec, compressed.params, single,
-                                    dataset.labels[image:image + 1])
+        rr, cc = sample.rows[k], sample.cols[k]
+        if gradient:
+            # im2col rows run over (image, output row, output column).
+            single = nn.ForwardTrace(
+                x=trace_c.x[k:k + 1], outputs=[o[k:k + 1] for o in trace_c.outputs],
+                logits=trace_c.logits[k:k + 1],
+                cols={i: c.reshape(len(ids), -1, c.shape[1])[k]
+                      for i, c in trace_c.cols.items()})
+            grads = nn.backward_collect(compressed.spec, compressed.params, single,
+                                        dataset.labels[image:image + 1])
+            grad.append(grads.activations[layer_index][0][:, rr, cc].T)
         x_in = trace_c.outputs[layer_index - 1][k] if layer_index else trace_c.x[k]
         x_in = np.pad(x_in, ((0, 0), (pad, pad), (pad, pad)))
-        rr, cc = sample.rows[k], sample.cols[k]
         pat = np.array([x_in[:, r * stride:r * stride + kh, c * stride:c * stride + kw]
                         for r, c in zip(rr, cc)])
         y0.append(trace_u.outputs[layer_index][k][:, rr, cc].T - b0)
         ystar.append(trace_c.outputs[layer_index][k][:, rr, cc].T - b_cur)
-        grad.append(grads.activations[layer_index][0][:, rr, cc].T)
         patches.append(pat)
-        z.append(np.einsum("pjuv,ijuv->pij", pat, w0))
+        taps = pat.reshape(len(rr), c_in, kh * kw).transpose(1, 0, 2)
+        z.append(np.matmul(taps, w0_taps).transpose(1, 2, 0))
         ids_out += [image] * len(rr)
         locs_out += list(zip(rr, cc))
     return pruner.FeatureProbe(
         layer_index=layer_index, y0=np.concatenate(y0), ystar=np.concatenate(ystar),
-        grad=np.concatenate(grad), z=np.concatenate(z),
+        grad=np.concatenate(grad) if gradient else None, z=np.concatenate(z),
         patches=np.concatenate(patches),
         image_ids=np.array(ids_out, dtype=np.int64),
         locations=np.array(locs_out, dtype=np.int64).reshape(-1, 2),
@@ -356,6 +363,19 @@ def dense_weighted_system(probe, variant, gamma=1.0):
             b[p * c_out + i] = g * probe.y0[p, i]
             a[p * c_out + i] = g * s * probe.z[p, i]
     return a, b
+
+
+def qr_fold(blocks):
+    """The triangular factor of the stacked rows [A | b] of `blocks`, a list
+    of (A_c, b_c), refactored block by block: each fold runs
+    `np.linalg.qr(mode="r")` on R stacked over the block's rows."""
+    r = None
+    for a, b in blocks:
+        rows = np.column_stack([a, b])
+        if r is not None:
+            rows = np.vstack([r, rows])
+        r = np.linalg.qr(rows, mode="r")
+    return r
 
 
 def apply_supports(ckpt, supports):

@@ -104,9 +104,9 @@ class TestConv2dBackward:
         forward = nn._conv_forward
         monkeypatch.setattr(nn, "_conv_forward", lambda x, w, b, s, p: (
             forward(x, w, b, s, p)[0], x))
-        def reference_backward(x, x_shape, w, s, p, d, need_dx=True):
+        def reference_backward(x, x_shape, w, s, p, d, need_dx=True, need_dw=True):
             dx, dw, db = conv_backward_reference(x, w, s, p, d)
-            return (dx if need_dx else None), dw, db
+            return ((dx if need_dx else None), *((dw, db) if need_dw else (None, None)))
 
         monkeypatch.setattr(nn, "_conv_backward", reference_backward)
         model_io.save_checkpoint(tmp_path / "reference.ckpt",
@@ -309,21 +309,27 @@ class TestBackwardStop:
 
     @pytest.mark.parametrize("seed", range(5))
     def test_skipped_input_gradient_leaves_the_rest_bitwise(self, seed):
+        # Each of the two skippable gradients in turn: dC/dx of the input,
+        # and every weight gradient.
         rng = np.random.default_rng(seed)
         spec, params, x, labels = random_small_net(rng)
         trace = nn.forward_collect(spec, params, x)
         full = nn.backward_collect(spec, params, trace, labels)
-        part = nn.backward_collect(spec, params, trace, labels, wrt_input=False)
-        assert full.wrt_input is not None and part.wrt_input is None
-        assert part.loss == full.loss
-        for g, f in zip(part.activations, full.activations):
-            assert (g is None and f is None) or g.tobytes() == f.tobytes()
-        for g, f in zip(part.weights, full.weights):
-            if f is None:
-                assert g is None
+        for skipped in ("wrt_input", "wrt_weights"):
+            part = nn.backward_collect(spec, params, trace, labels, **{skipped: False})
+            assert part.loss == full.loss
+            for g, f in zip(part.activations, full.activations):
+                assert (g is None and f is None) or g.tobytes() == f.tobytes()
+            if skipped == "wrt_input":
+                assert full.wrt_input is not None and part.wrt_input is None
             else:
-                assert g.weights.tobytes() == f.weights.tobytes()
-                assert g.bias.tobytes() == f.bias.tobytes()
+                assert part.wrt_input.tobytes() == full.wrt_input.tobytes()
+            for g, f in zip(part.weights, full.weights):
+                if f is None or skipped == "wrt_weights":
+                    assert g is None
+                else:
+                    assert g.weights.tobytes() == f.weights.tobytes()
+                    assert g.bias.tobytes() == f.bias.tobytes()
 
     def test_stop_out_of_range(self, rng):
         spec = tiny_spec()

@@ -121,6 +121,27 @@ class TestExtractProbes:
         with pytest.raises(ValueError, match="not conv2d"):
             probe_all(trained, trained.copy(), 1, synth_data, quick_config())
 
+    @pytest.mark.parametrize("num_locations", [1, 5])
+    @pytest.mark.parametrize("c_out", [1, 5])
+    def test_contributions_match_the_einsum_definition(self, synth_data,
+                                                       num_locations, c_out):
+        # One location or one output channel makes each per-channel product
+        # a matrix-vector one, which numpy hands to gemv instead of gemm.
+        spec = nn.NetworkSpec(
+            (nn.conv2d(1, 4, 3, padding=1), nn.relu(), nn.maxpool2d(2),
+             nn.conv2d(4, c_out, 3, padding=1), nn.relu(), nn.flatten(),
+             nn.linear(c_out * 6 * 6, 10), nn.softmax_ce_head()),
+            (1, 12, 12), 10)
+        uncompressed = model_io.Checkpoint(spec, nn.init_params(spec, 0))
+        compressed = model_io.Checkpoint(spec, nn.init_params(spec, 1))
+        cfg = quick_config(probe_images=20, num_locations=num_locations)
+        probe = assert_matches_loop(uncompressed, compressed, 3, synth_data, cfg)
+        w0 = uncompressed.params[3].weights
+        want = np.einsum("pjuv,ijuv->pij", probe.patches, w0)
+        scale = np.einsum("pjuv,ijuv->pij", np.abs(probe.patches), np.abs(w0))
+        assert probe.z.shape == (20 * num_locations, c_out, 4)
+        assert (np.abs(probe.z - want) <= 1e-12 * scale).all()
+
 
 def strided_net():
     """Unpadded and stride-2 convs ahead of a padded one, on 12x12 inputs."""
@@ -138,11 +159,15 @@ def assert_probes_match(got, want):
         a, b = getattr(got, name), getattr(want, name)
         assert a.shape == b.shape and a.dtype == b.dtype, name
         assert a.tobytes() == b.tobytes(), name
-    np.testing.assert_allclose(got.grad, want.grad, rtol=1e-12, atol=0)
+    if want.grad is None:
+        assert got.grad is None
+    else:
+        np.testing.assert_allclose(got.grad, want.grad, rtol=1e-12, atol=0)
     assert got.exhaustive == want.exhaustive
 
 
-def assert_matches_loop(uncompressed, compressed, li, dataset, cfg, start=0, stop=None):
+def assert_matches_loop(uncompressed, compressed, li, dataset, cfg, start=0, stop=None,
+                        gradient=True):
     """The library's sample equals the one-image-at-a-time draws, and its
     probe of images start..stop-1 equals the per-image loop's."""
     sample = pruner.sample_probes(compressed.spec, li, dataset, cfg)
@@ -151,9 +176,9 @@ def assert_matches_loop(uncompressed, compressed, li, dataset, cfg, start=0, sto
         assert getattr(sample, name).tobytes() == getattr(want, name).tobytes(), name
     assert sample.exhaustive == want.exhaustive
     chunk = sample.chunk(start, len(sample) if stop is None else stop)
-    got = pruner.extract_probes(uncompressed, compressed, li, dataset, chunk)
+    got = pruner.extract_probes(uncompressed, compressed, li, dataset, chunk, gradient)
     assert_probes_match(got, extract_probes_loop(uncompressed, compressed, li,
-                                                 dataset, chunk))
+                                                 dataset, chunk, gradient))
     return got
 
 
@@ -165,6 +190,14 @@ class TestExtractProbesMatchesLoop:
                                            quick_config(budgets={2: 3}))
         li = trained.spec.conv_indices()[2]
         assert_matches_loop(trained, compressed, li, synth_data, quick_config())
+
+    def test_without_the_gradient(self, trained, synth_data):
+        compressed, _ = pruner.prune_model(trained, synth_data,
+                                           quick_config(budgets={2: 3}))
+        li = trained.spec.conv_indices()[2]
+        probe = assert_matches_loop(trained, compressed, li, synth_data, quick_config(),
+                                    gradient=False)
+        assert probe.grad is None
 
     def test_exhaustive_locations(self, trained, synth_data):
         li = trained.spec.conv_indices()[3]  # 3x3 map
@@ -266,6 +299,27 @@ class TestBuildWeightedSystem:
             as_cpli = pruner.build_weighted_system(forced, "cpli", gamma=gamma)
             assert baseline.a.tobytes() == as_cpli.a.tobytes()
             assert baseline.b.tobytes() == as_cpli.b.tobytes()
+
+    def test_only_gradient_variants_read_the_gradient(self):
+        probe = hand_probe()
+        no_grad = dataclasses.replace(probe, grad=None)
+        for variant in pruner.GRADIENT_VARIANTS:
+            with pytest.raises(ValueError, match="needs a probe with the loss gradient"):
+                pruner.build_weighted_system(no_grad, variant)
+        for variant in ("cpli_no_fl", "cp_baseline"):
+            got = pruner.build_weighted_system(no_grad, variant, gamma=2.0)
+            want = pruner.build_weighted_system(probe, variant, gamma=2.0)
+            assert got.a.tobytes() == want.a.tobytes()
+            assert got.b.tobytes() == want.b.tobytes()
+
+    @pytest.mark.parametrize("variant", [v for v in pruner.VARIANTS
+                                         if v != pruner.VARIANT_MAGNITUDE])
+    def test_rows_of_a_probe_come_out_column_major(self, trained, synth_data, variant):
+        # SystemStream copies A into LAPACK's column-major buffer; from a
+        # column-major A that is one contiguous copy per column.
+        li = trained.spec.conv_indices()[1]
+        probe = probe_all(trained, trained.copy(), li, synth_data, quick_config())
+        assert pruner.build_weighted_system(probe, variant).a.flags.f_contiguous
 
     def test_magnitude_variant_rejected(self):
         with pytest.raises(ValueError, match="does not use a weighted system"):
@@ -576,6 +630,40 @@ class TestPruneModel:
         pruner.prune_model(trained, synth_data,
                            quick_config(flops_target=2.0, probe_images=150))
         assert len(dead) >= 9 and all(dead)
+
+    @pytest.mark.parametrize("variant", pruner.VARIANTS)
+    def test_probe_work_per_chunk(self, trained, synth_data, monkeypatch, variant):
+        # 40 probe images are chunks of 16, 16 and 8 at each of two convs.
+        # Only the variants that read the gradient run a backward, and it
+        # computes no weight gradient; the others' compressed forward stops
+        # at the probed conv.  Conv 2's models agree up to it, so its chunks
+        # run one forward; conv 3's run one per model.
+        real_forward, real_backward = nn.forward_collect, nn.backward_collect
+        calls = []
+
+        def forward(spec, params, x, upto=None):
+            calls.append(("forward", "u" if params is trained.params else "c", upto))
+            return real_forward(spec, params, x, upto=upto)
+
+        def backward(*args, **kwargs):
+            calls.append(("backward", kwargs.get("stop"), kwargs.get("wrt_weights")))
+            return real_backward(*args, **kwargs)
+
+        monkeypatch.setattr(nn, "forward_collect", forward)
+        monkeypatch.setattr(nn, "backward_collect", backward)
+        pruner.prune_model(trained, synth_data, quick_config(
+            budgets={2: 4, 3: 5}, probe_images=40, variant=variant))
+        reads_grad = variant in ("cpli", "cpli_no_fi")
+        assert reads_grad == (variant in pruner.GRADIENT_VARIANTS)
+        want = []
+        for li in trained.spec.conv_indices()[1:3]:
+            chunk = [("forward", "c", None if reads_grad else li)]
+            if li != trained.spec.conv_indices()[1]:
+                chunk.append(("forward", "u", li))
+            if reads_grad:
+                chunk.append(("backward", li + 1, False))
+            want += chunk * 3
+        assert calls == want
 
     def test_stage_failure_carries_traces_so_far(self, trained, synth_data,
                                                  monkeypatch):

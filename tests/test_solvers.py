@@ -1,3 +1,4 @@
+import os
 import time
 import warnings
 
@@ -9,7 +10,7 @@ from hypothesis import given, settings, strategies as st
 from prunekit import solvers
 
 from _oracles import (best_subset, greedy_backfill, kkt_violation, lasso_objective,
-                      lasso_sweeps, subset_residual)
+                      lasso_sweeps, qr_fold, subset_residual)
 
 
 def random_system(rng, rows=30, cols=6, sparsity=3, noise=0.1, scale_cols=False):
@@ -510,6 +511,21 @@ class TestSystemStream:
         assert r.col_sq_norms[[0, 1, 3]].all()
         assert r.first_copy.tolist() == [0, 1, 2, 3, 4]
 
+    def test_only_all_zero_columns_pair_unread(self, rng):
+        # Column 4's squared norm underflows to zero, but it is not all zero;
+        # columns 5 and 6 share their minimum and a zero maximum but differ.
+        a = rng.normal(size=(20, 7))
+        a[:, [1, 3]] = 0.0
+        a[:, 4] = 1e-170
+        a[:, 5] = a[:, 6] = -np.abs(rng.normal(size=20))
+        a[0, [5, 6]] = 0.0
+        a[1, 6] /= 2.0
+        a[2, [5, 6]] = -10.0
+        assert (a[:, 4] ** 2).sum() == 0.0
+        assert solvers._narrow_copies(None, a).tolist() == [0, 1, 2, 1, 4, 5, 6]
+        first = np.array([0, 1, 2, 1, 1, 5, 5])
+        assert solvers._narrow_copies(first, a).tolist() == [0, 1, 2, 1, 4, 5, 6]
+
     @pytest.mark.parametrize("seed", range(6))
     def test_backfill_on_nearly_collinear_columns(self, seed):
         # TestBackfill's near-duplicate pair, through the factor: its
@@ -530,6 +546,46 @@ class TestSystemStream:
     def test_empty_stream_rejected(self):
         with pytest.raises(ValueError, match="no rows"):
             solvers.SystemStream().system()
+
+    @pytest.mark.parametrize("case", ["short_first_block", "zero_columns",
+                                      "twin_columns", "wide"])
+    @pytest.mark.parametrize("seed", range(3))
+    def test_factor_is_byte_equal_to_numpy_qr(self, case, seed):
+        # "wide" has more than 128 columns, where LAPACK's QR is blocked and
+        # its block size comes from the workspace size.  numpy and scipy
+        # each ship their own OpenBLAS, whose blocked updates split across
+        # threads differently, so that case is pinned to one BLAS thread.
+        if case == "wide" and os.environ.get("OPENBLAS_NUM_THREADS") != "1":
+            pytest.skip("blocked QR bits match numpy's only with OPENBLAS_NUM_THREADS=1")
+        rng = np.random.default_rng(seed)
+        rows, cols, sizes = {"short_first_block": (60, 8, [3, 17, 1, 39]),
+                             "zero_columns": (40, 6, [2, 20, 18]),
+                             "twin_columns": (30, 6, [4, 10, 16]),
+                             "wide": (400, 140, [150, 250])}[case]
+        a = rng.normal(size=(rows, cols))
+        if case == "zero_columns":
+            a[:, [2, 4]] = 0.0
+        if case == "twin_columns":
+            a[:, 4] = a[:, 5] = a[:, 1]
+        b = rng.normal(size=rows)
+        edges = np.cumsum([0, *sizes])
+        blocks = [(a[lo:hi], b[lo:hi]) for lo, hi in zip(edges[:-1], edges[1:])]
+        # A pruning stage streams column-major blocks; odd seeds do too.
+        order = "F" if seed % 2 else "C"
+        stream = solvers.SystemStream()
+        for block_a, block_b in blocks:
+            stream.add(solvers.WeightedSystem(np.asarray(block_a, order=order), block_b))
+        want = qr_fold(blocks)
+        assert stream.r.shape == want.shape and stream.r.tobytes() == want.tobytes()
+
+    def test_failed_factorisation_raises(self, rng, monkeypatch):
+        def dgeqrf(a, lwork=None, overwrite_a=False):
+            return a, np.zeros(min(a.shape)), np.zeros(1), -2
+
+        monkeypatch.setattr(scipy.linalg.lapack, "dgeqrf", dgeqrf)
+        with pytest.raises(np.linalg.LinAlgError, match="dgeqrf failed with info=-2"):
+            solvers.SystemStream().add(solvers.WeightedSystem(rng.normal(size=(5, 3)),
+                                                              rng.normal(size=5)))
 
 
 class TestLeastSquaresRefit:
