@@ -28,10 +28,10 @@ print(f"gradient magnitudes span [{abs(probe.grad).min():.2e}, "
 budget = 3
 selected = {}
 for variant in ("cpli", "cpli_no_fl", "cpli_no_fi", "cp_baseline"):
-    rows = pruner.build_weighted_system(probe, variant, gamma=1.0)
+    rows = pruner.build_weighted_system(probe, variant)
     stream = solvers.SystemStream()
     stream.add(rows)
-    sel = pruner.select_channels(stream.system(), budget, cfg)
+    sel = pruner.select_channels(stream.system(), budget)
     selected[variant] = sel.support
     print(f"{variant:12s} keeps {list(sel.support)} (lambda {sel.lambda_final:.3g}); "
           f"{rows.rows}x{rows.cols} rows -> {stream.r.shape[0]}x{stream.r.shape[1]} factor")

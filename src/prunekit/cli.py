@@ -166,12 +166,9 @@ def cmd_prune(args) -> int:
     cfg = pruner.PruneConfig(
         budgets=_parse_budgets(budgets_text) if budgets_text else None,
         flops_target=opt.get("cr", None, float),
-        gamma=opt.get("gamma", 1.0, float),
         num_locations=opt.get("locations", 10, int),
         probe_images=opt.get("probe_images", 256, int),
         variant=opt.get("variant", pruner.VARIANT_CPLI),
-        grid_ratio=opt.get("grid_ratio", 1.3, float),
-        damping=opt.get("damping", 0.0, float),
         seed=opt.get("seed", 0, int))
     if cfg.budgets is None and cfg.flops_target is None:
         raise ValueError("give either --budgets or --cr")
@@ -226,8 +223,7 @@ def cmd_experiment(args) -> int:
         batch_size=train_cfg.batch_size)
     prune_cfg = pruner.PruneConfig(
         flops_target=opt.get("cr", 2.0, float),
-        probe_images=opt.get("probe_images", 256, int),
-        gamma=opt.get("gamma", 1.0, float))
+        probe_images=opt.get("probe_images", 256, int))
     result = harness.run_experiment(plan, spec, data, test_data, train_cfg,
                                     finetune_cfg, prune_cfg, out_dir=args.outdir)
     print(harness.format_experiment_table(result), end="")
@@ -285,9 +281,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--budgets", help="explicit keep counts, e.g. 2=8,3=16")
     p.add_argument("--locations", type=int)
     p.add_argument("--probe-images", dest="probe_images", type=int)
-    p.add_argument("--gamma", type=float)
-    p.add_argument("--grid-ratio", dest="grid_ratio", type=float)
-    p.add_argument("--damping", type=float)
     p.add_argument("--report", help="write the compression report here (json)")
     p.add_argument("--trace", help="write the per-layer trace here (text)")
     add_common(p)
@@ -329,7 +322,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--lr", type=float)
     p.add_argument("--finetune-lr", dest="finetune_lr", type=float)
     p.add_argument("--probe-images", dest="probe_images", type=int)
-    p.add_argument("--gamma", type=float)
     add_common(p)
     p.set_defaults(func=cmd_experiment)
 

@@ -80,6 +80,14 @@ class TrainConfig:
     decay_factor: float = 0.1
     seed: int = 0
 
+    def __post_init__(self):
+        if self.epochs < 0:
+            raise ValueError(f"epochs must be >= 0, got {self.epochs}")
+        if self.batch_size < 1:
+            raise ValueError(f"batch_size must be >= 1, got {self.batch_size}")
+        if not self.lr > 0:
+            raise ValueError(f"lr must be > 0, got {self.lr}")
+
 
 def finetune_defaults(**overrides) -> TrainConfig:
     cfg = TrainConfig(epochs=10, lr=0.01)

@@ -47,14 +47,9 @@ class PruneConfig:
 
     budgets: dict[int, int] | None = None
     flops_target: float | None = None
-    gamma: float = 1.0
     num_locations: int = 10
     probe_images: int = 256
     variant: str = VARIANT_CPLI
-    grid_ratio: float = solvers.DEFAULT_GRID_RATIO
-    tol: float = solvers.DEFAULT_TOL
-    max_sweeps: int = solvers.DEFAULT_MAX_SWEEPS
-    damping: float = 0.0
     seed: int = 0
 
     def __post_init__(self):
@@ -139,16 +134,13 @@ class FeatureProbe(RefitTargets):
     channel contributions z.  Arrays are indexed [probe, out_channel] and
     z is [probe, out_channel, in_channel]; `patches` holds the compressed
     model's input receptive fields for the refit step.  `grad` is None when
-    the probe was taken without the loss gradient.
+    the probe was taken without the loss gradient.  The rows' images and
+    locations are those of the `ProbeSample` the probe was taken on.
     """
 
-    layer_index: int
     ystar: np.ndarray
     grad: np.ndarray | None
     z: np.ndarray
-    image_ids: np.ndarray
-    locations: np.ndarray
-    exhaustive: bool
 
 
 def extract_probes(uncompressed: model_io.Checkpoint, compressed: model_io.Checkpoint,
@@ -208,10 +200,7 @@ def extract_probes(uncompressed: model_io.Checkpoint, compressed: model_io.Check
     z = np.matmul(patches.reshape(n, n_loc, c_in, kh * kw).transpose(2, 0, 1, 3),
                   w0.transpose(1, 2, 0)[:, None])
     z = z.reshape(c_in, n * n_loc, c_out).transpose(1, 2, 0)
-    return FeatureProbe(y0=y0, patches=patches, layer_index=layer_index, ystar=ystar,
-                        grad=grad, z=z, image_ids=np.repeat(ids, n_loc),
-                        locations=np.stack([rows.ravel(), cols.ravel()], axis=1),
-                        exhaustive=sample.exhaustive)
+    return FeatureProbe(y0=y0, patches=patches, ystar=ystar, grad=grad, z=z)
 
 
 def _same_prefix(a: model_io.Checkpoint, b: model_io.Checkpoint, upto: int) -> bool:
@@ -226,33 +215,33 @@ def _same_prefix(a: model_io.Checkpoint, b: model_io.Checkpoint, upto: int) -> b
     return True
 
 
-def build_weighted_system(probe: FeatureProbe, variant: str,
-                          gamma: float = 1.0) -> solvers.WeightedSystem:
+def build_weighted_system(probe: FeatureProbe, variant: str) -> solvers.WeightedSystem:
     """The selection system's rows for a probe: one per (probe, output channel).
 
-    Row weights (g, s) by variant -- cpli: (grad, gamma*ystar);
-    cpli_no_fl: (1, gamma*ystar); cpli_no_fi: (grad, 1); cp_baseline: (1, 1).
-    Each row is b = g*y0, A[j] = g*s*z_j.  Only the `GRADIENT_VARIANTS` read
-    `probe.grad`.  A pruning stage builds this per probe chunk and folds it
-    into a `solvers.SystemStream`.
+    Row weights (g, s) by variant -- cpli: (grad, ystar); cpli_no_fl:
+    (1, ystar); cpli_no_fi: (grad, 1); cp_baseline: (1, 1).  Each row is
+    b = g*y0, A[j] = g*s*z_j: the gate s weights A's rows but not b's.  A
+    constant factor on s would scale every column of A alike, which moves
+    the lambda grid with it and leaves the selection unchanged.  Only the
+    `GRADIENT_VARIANTS` read `probe.grad`.  A pruning stage builds this per
+    probe chunk and folds it into a `solvers.SystemStream`.
     """
     if variant not in VARIANTS or variant == VARIANT_MAGNITUDE:
         raise ValueError(f"variant {variant!r} does not use a weighted system")
     if variant in GRADIENT_VARIANTS and probe.grad is None:
         raise ValueError(f"variant {variant!r} needs a probe with the loss gradient")
     g = probe.grad if variant in GRADIENT_VARIANTS else 1.0
-    s = gamma * probe.ystar if variant in (VARIANT_CPLI, VARIANT_NO_FL) else 1.0
+    s = probe.ystar if variant in (VARIANT_CPLI, VARIANT_NO_FL) else 1.0
     total, c_out = probe.y0.shape
     b = (g * probe.y0).reshape(total * c_out)
     a = (np.expand_dims(g * s, -1) * probe.z).reshape(total * c_out, -1)
     return solvers.WeightedSystem(a, b)
 
 
-def select_channels(system: solvers.WeightedSystem, budget: int,
-                    config: PruneConfig) -> solvers.SelectionResult:
+def select_channels(system: solvers.WeightedSystem,
+                    budget: int) -> solvers.SelectionResult:
     """Budgeted channel selection; delegates to the lambda search."""
-    return solvers.lambda_search(system, budget, grid_ratio=config.grid_ratio,
-                                 tol=config.tol, max_sweeps=config.max_sweeps)
+    return solvers.lambda_search(system, budget)
 
 
 def magnitude_select(weights: np.ndarray, budget: int) -> tuple[int, ...]:
@@ -280,8 +269,7 @@ class RefitOutcome:
     rhs_scale: float
 
 
-def refit_layer(probe: RefitTargets, support, old: nn.LayerParams,
-                damping: float = 0.0) -> RefitOutcome:
+def refit_layer(probe: RefitTargets, support, old: nn.LayerParams) -> RefitOutcome:
     """Least-squares refit of the kept-channel filters against y0.
 
     `old` is the layer's parameters before the refit.  Targets are the
@@ -298,7 +286,7 @@ def refit_layer(probe: RefitTargets, support, old: nn.LayerParams,
     total = probe.patches.shape[0]
     kh, kw = probe.patches.shape[2], probe.patches.shape[3]
     pmat = probe.patches[:, support].reshape(total, len(support) * kh * kw)
-    refit = solvers.least_squares_refit(pmat, probe.y0, (kh, kw), damping=damping)
+    refit = solvers.least_squares_refit(pmat, probe.y0, (kh, kw))
 
     wmat = refit.weights.reshape(refit.weights.shape[0], -1).T
     pred = pmat @ wmat
@@ -326,7 +314,7 @@ class PruneTrace:
     """One line of the pruning log: what was kept at one conv layer and why.
 
     `converged` is False when the LASSO solve at `lambda_final` ran out of
-    `max_sweeps`; magnitude selection has no solve and reports True.  The
+    sweeps; magnitude selection has no solve and reports True.  The
     fields, in order, are the trace file's columns (see `model_io.write_tsv`);
     `kept` is derived from `support`.
     """
@@ -441,7 +429,6 @@ def prune_model(uncompressed: model_io.Checkpoint, dataset: model_io.DatasetHand
     attached to the exception.
     """
     _check_conv_chain(uncompressed.spec)
-    config.validate_for(uncompressed.spec)
     budgets = resolve_budgets(uncompressed.spec, config)
     convs = uncompressed.spec.conv_indices()
     compressed = uncompressed.copy()
@@ -496,10 +483,10 @@ def _prune_stage(uncompressed: model_io.Checkpoint, compressed: model_io.Checkpo
         if not system.col_sq_norms.any():
             raise ValueError(f"conv {ordinal} (layer {li}): every weighted "
                              "column is zero, so there is no channel to select")
-        sel = select_channels(system, budget, config)
+        sel = select_channels(system, budget)
         support, lam, warn = sel.support, sel.lambda_final, sel.budget_warning
         converged = sel.converged
-    refit = refit_layer(targets, support, cur, damping=config.damping)
+    refit = refit_layer(targets, support, cur)
     sup = np.asarray(support, dtype=np.int64)
     return _rewrite(compressed, prev, li, sup, refit.weights, refit.bias), PruneTrace(
         layer_index=li, conv_ordinal=ordinal, variant=config.variant,
@@ -525,7 +512,7 @@ def _probe_chunk(uncompressed: model_io.Checkpoint, compressed: model_io.Checkpo
     targets.y0[at] = probe.y0
     targets.patches[at] = probe.patches
     if stream is not None:
-        stream.add(build_weighted_system(probe, config.variant, config.gamma))
+        stream.add(build_weighted_system(probe, config.variant))
 
 
 # ---------------------------------------------------------------------------

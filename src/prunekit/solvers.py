@@ -20,6 +20,8 @@ from functools import cached_property
 import numpy as np
 import scipy.linalg
 
+# Solver constants: the coordinate-descent stopping change and sweep limit,
+# and the ratio between successive points of the lambda grid.
 DEFAULT_TOL = 1e-9
 DEFAULT_MAX_SWEEPS = 10000
 DEFAULT_GRID_RATIO = 1.3
@@ -354,16 +356,16 @@ def lasso_coordinate_descent(system: WeightedSystem, lam: float,
 
 
 def lambda_search(system: WeightedSystem, budget: int,
-                  grid_ratio: float = DEFAULT_GRID_RATIO,
-                  lambda_floor: float | None = None,
-                  tol: float = DEFAULT_TOL,
-                  max_sweeps: int = DEFAULT_MAX_SWEEPS) -> SelectionResult:
+                  lambda_floor: float | None = None) -> SelectionResult:
     """Walk a geometric lambda grid until the LASSO support fits the budget.
 
-    Solves are warm-started from the previous grid point.  The first feasible
-    grid point wins; if its support is under budget, excluded columns are
-    backfilled greedily by correlation with the current restricted
-    least-squares residual until |support| = min(budget, nonzero columns).
+    The grid starts at `lambda_floor`, by default `LAMBDA_FLOOR_FRACTION`
+    of lambda_max, and grows by `DEFAULT_GRID_RATIO` per step.  Solves are
+    warm-started from the previous grid point and use the default sweep
+    limit and tolerance.  The first feasible grid point wins; if its
+    support is under budget, excluded columns are backfilled greedily by
+    correlation with the current restricted least-squares residual until
+    |support| = min(budget, nonzero columns).
     The restricted fit w is least squares on the columns A_S themselves, and
     column j's score is |A_j^T (b - A_S w)|.  On a streamed system A is the
     small triangular factor, whose columns keep the condition number of the
@@ -377,8 +379,8 @@ def lambda_search(system: WeightedSystem, budget: int,
     cols = system.cols
     if not 1 <= budget <= cols:
         raise ValueError(f"budget must be in [1, {cols}], got {budget}")
-    if grid_ratio <= 1.0:
-        raise ValueError(f"grid_ratio must exceed 1, got {grid_ratio}")
+    if lambda_floor is not None and not (np.isfinite(lambda_floor) and lambda_floor > 0):
+        raise ValueError(f"lambda_floor must be finite and positive, got {lambda_floor}")
     nonzero_cols = np.flatnonzero(system.col_sq_norms > 0.0)
     budget_warning = budget > len(nonzero_cols)
     target = min(budget, len(nonzero_cols))
@@ -392,11 +394,10 @@ def lambda_search(system: WeightedSystem, budget: int,
     beta = None
     converged = True
     for _ in range(_MAX_GRID_STEPS):
-        beta, converged = lasso_coordinate_descent(system, lam, beta_init=beta,
-                                                   max_sweeps=max_sweeps, tol=tol)
+        beta, converged = lasso_coordinate_descent(system, lam, beta_init=beta)
         if np.count_nonzero(beta) <= budget:
             break
-        lam *= grid_ratio
+        lam *= DEFAULT_GRID_RATIO
     else:
         raise RuntimeError("lambda grid exhausted without meeting the budget")
 
@@ -432,12 +433,11 @@ class RefitResult:
 
 
 def least_squares_refit(patches: np.ndarray, targets: np.ndarray,
-                        kernel: tuple[int, int],
-                        damping: float = 0.0) -> RefitResult:
+                        kernel: tuple[int, int]) -> RefitResult:
     """Fit kept-channel conv filters minimising ||targets - patches @ w||^2.
 
-    Solves (P^T P + eps I) w_i = P^T t_i per output channel via Cholesky.
-    A rank-deficient system with eps = 0 is retried with
+    Solves (P^T P + eps I) w_i = P^T t_i per output channel via Cholesky,
+    undamped (eps = 0) first.  A rank-deficient system is retried with
     eps = 1e-8 * trace(P^T P) / cols, escalating if needed; the damping
     actually used is reported in the result.
     """
@@ -451,12 +451,10 @@ def least_squares_refit(patches: np.ndarray, targets: np.ndarray,
     cols = p.shape[1]
     if cols % (kh * kw) != 0:
         raise ValueError(f"{cols} patch columns do not split into {kh}x{kw} kernels")
-    if damping < 0:
-        raise ValueError(f"damping must be nonnegative, got {damping}")
 
     gram = p.T @ p
     rhs = p.T @ t
-    eps = damping
+    eps = 0.0
     trace = float(np.trace(gram))
     fallback = 1e-8 * trace / cols if trace > 0 else 1e-12
     sol = None

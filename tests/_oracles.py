@@ -312,7 +312,7 @@ def extract_probes_loop(uncompressed, compressed, layer_index, dataset, sample,
     w0_taps = w0.reshape(c_out, c_in, kh * kw).transpose(1, 2, 0)
     b0 = uncompressed.params[layer_index].bias
     b_cur = compressed.params[layer_index].bias
-    y0, ystar, grad, z, patches, ids_out, locs_out = ([] for _ in range(7))
+    y0, ystar, grad, z, patches = ([] for _ in range(5))
     ids = sample.image_ids
     trace_u = nn.forward_collect(uncompressed.spec, uncompressed.params,
                                  dataset.images[ids])
@@ -339,18 +339,13 @@ def extract_probes_loop(uncompressed, compressed, layer_index, dataset, sample,
         patches.append(pat)
         taps = pat.reshape(len(rr), c_in, kh * kw).transpose(1, 0, 2)
         z.append(np.matmul(taps, w0_taps).transpose(1, 2, 0))
-        ids_out += [image] * len(rr)
-        locs_out += list(zip(rr, cc))
     return pruner.FeatureProbe(
-        layer_index=layer_index, y0=np.concatenate(y0), ystar=np.concatenate(ystar),
+        y0=np.concatenate(y0), ystar=np.concatenate(ystar),
         grad=np.concatenate(grad) if gradient else None, z=np.concatenate(z),
-        patches=np.concatenate(patches),
-        image_ids=np.array(ids_out, dtype=np.int64),
-        locations=np.array(locs_out, dtype=np.int64).reshape(-1, 2),
-        exhaustive=sample.exhaustive)
+        patches=np.concatenate(patches))
 
 
-def dense_weighted_system(probe, variant, gamma=1.0):
+def dense_weighted_system(probe, variant):
     """The selection system of a whole probe set as one dense (A, b), one
     row per (probe, output channel) in that order, written row by row."""
     total, c_out = probe.y0.shape
@@ -359,7 +354,7 @@ def dense_weighted_system(probe, variant, gamma=1.0):
     for p in range(total):
         for i in range(c_out):
             g = 1.0 if variant in ("cpli_no_fl", "cp_baseline") else probe.grad[p, i]
-            s = 1.0 if variant in ("cpli_no_fi", "cp_baseline") else gamma * probe.ystar[p, i]
+            s = 1.0 if variant in ("cpli_no_fi", "cp_baseline") else probe.ystar[p, i]
             b[p * c_out + i] = g * probe.y0[p, i]
             a[p * c_out + i] = g * s * probe.z[p, i]
     return a, b

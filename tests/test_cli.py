@@ -151,6 +151,16 @@ class TestConfigFilesFailLoudly:
         assert err.count("\n") == 1
         assert "train.cfg" in err and "'epoch'" in err
         assert not (tmp_path / "m.ckpt").exists()
+        # Pruning has no gate scale, lambda grid ratio or starting damping to set.
+        cfg = tmp_path / "prune.cfg"
+        for command, key in (("prune", "gamma"), ("prune", "grid_ratio"),
+                             ("prune", "damping"), ("experiment", "gamma")):
+            cfg.write_text(f"{key} = 1\n")
+            argv = ["--checkpoint", "x.ckpt", "--out", "y.ckpt"] \
+                if command == "prune" else ["--outdir", str(tmp_path / "exp")]
+            assert run([command, "--config", str(cfg)] + argv) == 1
+            assert capsys.readouterr().err == (
+                f"error: {cfg}: unknown key {key!r} for prunekit {command}\n")
 
     def test_bad_boolean(self, tmp_path, capsys):
         for text in ("no", "off", "0", "false", "yes", "on", "1", "TRUE"):
@@ -211,6 +221,18 @@ class TestIntegerFlagsFailLoudly:
                     "--outdir", str(tmp_path / "exp"), flag, value]) == 1
         self.assert_one_line(capsys, f"{flag}: {token} is not an integer")
         assert not (tmp_path / "exp").exists()
+
+    @pytest.mark.parametrize("flag, value, want", [
+        ("--epochs", "-1", "epochs must be >= 0, got -1"),
+        ("--batch-size", "0", "batch_size must be >= 1, got 0"),
+        ("--batch-size", "-1", "batch_size must be >= 1, got -1"),
+        ("--lr", "0", "lr must be > 0, got 0.0"),
+        ("--lr", "-0.1", "lr must be > 0, got -0.1")])
+    def test_train_settings_out_of_range(self, tmp_path, capsys, flag, value, want):
+        assert run(["train", "--data", DATA, "--out", str(tmp_path / "m.ckpt"),
+                    flag, value]) == 1
+        self.assert_one_line(capsys, want)
+        assert not (tmp_path / "m.ckpt").exists()
 
     @pytest.mark.parametrize("value, token", [("2=x", "'x'"), ("two=3", "'two'")])
     def test_budgets(self, ckpt_path, tmp_path, capsys, value, token):

@@ -1,4 +1,5 @@
 import dataclasses
+import functools
 import tracemalloc
 import weakref
 
@@ -72,50 +73,53 @@ class TestExtractProbes:
         li = trained.spec.conv_indices()[2]  # 3x3 map after two pools
         _, ho, wo = trained.spec.activation_dims()[li]
         cfg = quick_config(probe_images=3, num_locations=ho * wo)
-        probe = probe_all(trained, trained.copy(), li, synth_data, cfg)
-        assert not probe.exhaustive  # map size == requested count, nothing missing
+        sample = pruner.sample_probes(trained.spec, li, synth_data, cfg)
+        probe = pruner.extract_probes(trained, trained.copy(), li, synth_data, sample)
+        assert not sample.exhaustive  # map size == requested count, nothing missing
+        assert probe.y0.shape[0] == 3 * ho * wo
         for img in range(3):
-            locs = probe.locations[img * ho * wo:(img + 1) * ho * wo]
-            flat = sorted(r * wo + c for r, c in locs)
+            flat = sorted((sample.rows[img] * wo + sample.cols[img]).tolist())
             assert flat == list(range(ho * wo))
 
     def test_small_map_flagged_exhaustive(self, trained, synth_data):
         li = trained.spec.conv_indices()[2]
         _, ho, wo = trained.spec.activation_dims()[li]
         cfg = quick_config(probe_images=2, num_locations=ho * wo + 5)
-        probe = probe_all(trained, trained.copy(), li, synth_data, cfg)
-        assert probe.exhaustive
+        sample = pruner.sample_probes(trained.spec, li, synth_data, cfg)
+        probe = pruner.extract_probes(trained, trained.copy(), li, synth_data, sample)
+        assert sample.exhaustive
         assert probe.y0.shape[0] == 2 * ho * wo
 
     def test_contributions_sum_to_direct_convolution(self, trained, synth_data):
         li = trained.spec.conv_indices()[1]
         layer = trained.spec.layers[li]
         cfg = quick_config(probe_images=4)
-        probe = probe_all(trained, trained.copy(), li, synth_data, cfg)
+        sample = pruner.sample_probes(trained.spec, li, synth_data, cfg)
+        probe = pruner.extract_probes(trained, trained.copy(), li, synth_data, sample)
 
         w0 = trained.params[li].weights
-        ids = probe.image_ids.reshape(4, -1)[:, 0]
         trace = nn.forward_collect(trained.spec, trained.params,
-                                   synth_data.images[ids])
+                                   synth_data.images[sample.image_ids])
         x_in = trace.outputs[li - 1]
         direct = nn.conv2d_forward(x_in, w0, np.zeros(w0.shape[0]),
                                    stride=layer.stride, padding=layer.padding)
-        n_loc = probe.y0.shape[0] // 4
+        n_loc = sample.rows.shape[1]
         for p in range(probe.y0.shape[0]):
-            img, (r, c) = p // n_loc, probe.locations[p]
+            img, k = divmod(p, n_loc)
+            r, c = sample.rows[img, k], sample.cols[img, k]
             np.testing.assert_allclose(probe.z[p].sum(axis=1),
                                        direct[img, :, r, c], atol=1e-10)
 
     def test_locations_deterministic_and_without_replacement(self, trained, synth_data):
         li = trained.spec.conv_indices()[1]
-        a = probe_all(trained, trained.copy(), li, synth_data, quick_config(seed=5))
-        b = probe_all(trained, trained.copy(), li, synth_data, quick_config(seed=5))
-        np.testing.assert_array_equal(a.locations, b.locations)
-        np.testing.assert_array_equal(a.image_ids, b.image_ids)
+        a = pruner.sample_probes(trained.spec, li, synth_data, quick_config(seed=5))
+        b = pruner.sample_probes(trained.spec, li, synth_data, quick_config(seed=5))
+        for name in ("image_ids", "rows", "cols"):
+            np.testing.assert_array_equal(getattr(a, name), getattr(b, name))
         n_loc = 6
-        for img in range(len(a.locations) // n_loc):
-            locs = [tuple(t) for t in a.locations[img * n_loc:(img + 1) * n_loc]]
-            assert len(set(locs)) == n_loc
+        assert a.rows.shape == (48, n_loc)
+        for rows, cols in zip(a.rows, a.cols):
+            assert len(set(zip(rows.tolist(), cols.tolist()))) == n_loc
 
     def test_rejects_non_conv_layer(self, trained, synth_data):
         with pytest.raises(ValueError, match="not conv2d"):
@@ -155,7 +159,7 @@ def strided_net():
 
 
 def assert_probes_match(got, want):
-    for name in ("y0", "ystar", "z", "patches", "image_ids", "locations"):
+    for name in ("y0", "ystar", "z", "patches"):
         a, b = getattr(got, name), getattr(want, name)
         assert a.shape == b.shape and a.dtype == b.dtype, name
         assert a.tobytes() == b.tobytes(), name
@@ -163,7 +167,6 @@ def assert_probes_match(got, want):
         assert got.grad is None
     else:
         np.testing.assert_allclose(got.grad, want.grad, rtol=1e-12, atol=0)
-    assert got.exhaustive == want.exhaustive
 
 
 def assert_matches_loop(uncompressed, compressed, li, dataset, cfg, start=0, stop=None,
@@ -203,7 +206,8 @@ class TestExtractProbesMatchesLoop:
         li = trained.spec.conv_indices()[3]  # 3x3 map
         cfg = quick_config(num_locations=12)
         probe = assert_matches_loop(trained, trained.copy(), li, synth_data, cfg)
-        assert probe.exhaustive
+        assert pruner.sample_probes(trained.spec, li, synth_data, cfg).exhaustive
+        assert probe.y0.shape[0] == 48 * 9
 
     def test_chunk_size_not_a_power_of_two(self, trained, synth_data):
         # 70 images: four 16-image chunks, then 6, whose gradient factor is
@@ -244,15 +248,11 @@ def hand_probe():
     """Two probes, one output channel, two input channels; gradient weighting
     flips the single-channel winner versus the unweighted baseline."""
     return pruner.FeatureProbe(
-        layer_index=0,
         y0=np.array([[1.0], [1.0]]),
         ystar=np.array([[1.0], [1.0]]),
         grad=np.array([[1.0], [0.05]]),
         z=np.array([[[1.0, 0.2]], [[0.1, 1.0]]]),
-        patches=np.zeros((2, 2, 1, 1)),
-        image_ids=np.array([0, 1]),
-        locations=np.zeros((2, 2), dtype=np.int64),
-        exhaustive=False)
+        patches=np.zeros((2, 2, 1, 1)))
 
 
 class TestBuildWeightedSystem:
@@ -280,25 +280,19 @@ class TestBuildWeightedSystem:
 
         assert enumerate_winner(weighted) == 0
         assert enumerate_winner(baseline) == 1
-        cfg = quick_config()
-        assert pruner.select_channels(weighted, 1, cfg).support == (0,)
-        assert pruner.select_channels(baseline, 1, cfg).support == (1,)
+        assert pruner.select_channels(weighted, 1).support == (0,)
+        assert pruner.select_channels(baseline, 1).support == (1,)
 
     def test_variant_degeneracy_bit_for_bit(self, rng):
         probe = hand_probe()
         probe.grad = rng.normal(size=(2, 1))
         probe.ystar = rng.normal(size=(2, 1))
         baseline = pruner.build_weighted_system(probe, "cp_baseline")
-        for gamma in (1.0, 2.0):
-            forced = pruner.FeatureProbe(
-                layer_index=0, y0=probe.y0,
-                ystar=np.full_like(probe.ystar, 1.0 / gamma),
-                grad=np.ones_like(probe.grad), z=probe.z, patches=probe.patches,
-                image_ids=probe.image_ids, locations=probe.locations,
-                exhaustive=False)
-            as_cpli = pruner.build_weighted_system(forced, "cpli", gamma=gamma)
-            assert baseline.a.tobytes() == as_cpli.a.tobytes()
-            assert baseline.b.tobytes() == as_cpli.b.tobytes()
+        forced = dataclasses.replace(probe, ystar=np.ones_like(probe.ystar),
+                                     grad=np.ones_like(probe.grad))
+        as_cpli = pruner.build_weighted_system(forced, "cpli")
+        assert baseline.a.tobytes() == as_cpli.a.tobytes()
+        assert baseline.b.tobytes() == as_cpli.b.tobytes()
 
     def test_only_gradient_variants_read_the_gradient(self):
         probe = hand_probe()
@@ -307,8 +301,8 @@ class TestBuildWeightedSystem:
             with pytest.raises(ValueError, match="needs a probe with the loss gradient"):
                 pruner.build_weighted_system(no_grad, variant)
         for variant in ("cpli_no_fl", "cp_baseline"):
-            got = pruner.build_weighted_system(no_grad, variant, gamma=2.0)
-            want = pruner.build_weighted_system(probe, variant, gamma=2.0)
+            got = pruner.build_weighted_system(no_grad, variant)
+            want = pruner.build_weighted_system(probe, variant)
             assert got.a.tobytes() == want.a.tobytes()
             assert got.b.tobytes() == want.b.tobytes()
 
@@ -327,10 +321,11 @@ class TestBuildWeightedSystem:
 
     def test_no_fl_and_no_fi_weights(self):
         probe = hand_probe()
-        no_fl = pruner.build_weighted_system(probe, "cpli_no_fl", gamma=2.0)
+        probe.ystar = np.array([[2.0], [-0.5]])
+        no_fl = pruner.build_weighted_system(probe, "cpli_no_fl")
         np.testing.assert_array_equal(no_fl.b, probe.y0.reshape(-1))
         np.testing.assert_array_equal(
-            no_fl.a, (2.0 * probe.ystar[:, :, None] * probe.z).reshape(2, 2))
+            no_fl.a, (probe.ystar[:, :, None] * probe.z).reshape(2, 2))
         no_fi = pruner.build_weighted_system(probe, "cpli_no_fi")
         np.testing.assert_array_equal(no_fi.b, (probe.grad * probe.y0).reshape(-1))
         np.testing.assert_array_equal(
@@ -341,7 +336,7 @@ class TestSelectChannels:
     def test_full_budget_keeps_all(self, rng):
         a = rng.normal(size=(30, 5))
         sys_ = solvers.WeightedSystem(a, rng.normal(size=30))
-        res = pruner.select_channels(sys_, 5, quick_config())
+        res = pruner.select_channels(sys_, 5)
         assert res.support == (0, 1, 2, 3, 4)
 
     def test_dead_channel_never_selected(self, rng):
@@ -349,7 +344,7 @@ class TestSelectChannels:
         a[:, 3] = 0.0
         sys_ = solvers.WeightedSystem(a, rng.normal(size=30))
         for budget in (1, 2, 3, 4):
-            assert 3 not in pruner.select_channels(sys_, budget, quick_config()).support
+            assert 3 not in pruner.select_channels(sys_, budget).support
 
 
 class TestMagnitudeSelect:
@@ -444,7 +439,7 @@ def stream_system(uncompressed, compressed, li, dataset, cfg):
     for start in range(0, len(sample), pruner._PROBE_CHUNK):
         chunk = sample.chunk(start, start + pruner._PROBE_CHUNK)
         probe = pruner.extract_probes(uncompressed, compressed, li, dataset, chunk)
-        stream.add(pruner.build_weighted_system(probe, cfg.variant, cfg.gamma))
+        stream.add(pruner.build_weighted_system(probe, cfg.variant))
     return stream.system()
 
 
@@ -458,10 +453,10 @@ class TestStreamedSelection:
     def test_matches_the_dense_oracle(self, trained, synth_data, variant, ordinal):
         # 40 images: chunks of 16, 16 and 8 against one 40-image probe.
         li = trained.spec.conv_indices()[ordinal - 1]
-        cfg = quick_config(probe_images=40, variant=variant, gamma=1.5)
+        cfg = quick_config(probe_images=40, variant=variant)
         streamed = stream_system(trained, trained.copy(), li, synth_data, cfg)
         probe = probe_all(trained, trained.copy(), li, synth_data, cfg)
-        dense = solvers.WeightedSystem(*dense_weighted_system(probe, variant, 1.5))
+        dense = solvers.WeightedSystem(*dense_weighted_system(probe, variant))
         assert streamed.rows <= streamed.cols + 1 < dense.rows
         for budget in range(1, dense.cols):
             got = solvers.lambda_search(streamed, budget)
@@ -776,9 +771,12 @@ class TestTraceFiles:
         assert path.read_text().splitlines()[1].endswith("\t1")
         assert pruner.read_traces(path) == [t]
 
-    def test_unconverged_solve_writes_zero(self, tmp_path, trained, synth_data):
-        _, traces = pruner.prune_model(trained, synth_data,
-                                       quick_config(flops_target=2.0, max_sweeps=1))
+    def test_unconverged_solve_writes_zero(self, tmp_path, trained, synth_data,
+                                           monkeypatch):
+        # One sweep per solve: none of them can converge.
+        monkeypatch.setattr(solvers, "lasso_coordinate_descent", functools.partial(
+            solvers.lasso_coordinate_descent, max_sweeps=1))
+        _, traces = pruner.prune_model(trained, synth_data, quick_config(flops_target=2.0))
         path = tmp_path / "run.trace"
         pruner.write_traces(path, traces)
         header, first = path.read_text().splitlines()[:2]

@@ -360,6 +360,13 @@ class TestLambdaSearch:
             assert len(res.support) == min(budget, 4)
             assert res.beta[2] == 0.0
 
+    @pytest.mark.parametrize("floor", [0.0, -1.0, np.inf, np.nan])
+    def test_invalid_lambda_floor(self, rng, floor):
+        sys_ = random_system(rng, cols=4)
+        with pytest.raises(ValueError) as err:
+            solvers.lambda_search(sys_, budget=2, lambda_floor=floor)
+        assert str(err.value) == f"lambda_floor must be finite and positive, got {floor}"
+
     def test_invalid_budget(self, rng):
         sys_ = random_system(rng, cols=4)
         with pytest.raises(ValueError, match=r"budget must be in \[1, 4\]"):
@@ -399,6 +406,12 @@ class TestLambdaSearch:
             scaled = solvers.WeightedSystem(c * sys_.a, c * sys_.b)
             res_c = solvers.lambda_search(scaled, budget=3)
             assert res_c.support == res.support
+            # Scaling A alone, as a constant factor on the feature gate
+            # would: the grid scales with max|A^T b| and picks the same set.
+            columns = solvers.WeightedSystem(c * sys_.a, sys_.b)
+            res_c = solvers.lambda_search(columns, budget=3)
+            assert res_c.support == res.support
+            assert res_c.lambda_final == pytest.approx(c * res.lambda_final, rel=1e-9)
 
 
 class TestBackfill:
