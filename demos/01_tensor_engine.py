@@ -44,7 +44,5 @@ velocity = None
 for step in range(3):
     trace = nn.forward_collect(spec, params, x)
     grads = nn.backward_collect(spec, params, trace, labels)
-    params, velocity = nn.sgd_step(params, grads.weights, lr=0.1, momentum=0.9,
-                                   nesterov=True, weight_decay=1e-4,
-                                   velocity=velocity)
+    params, velocity = nn.sgd_step(params, grads.weights, lr=0.1, velocity=velocity)
     print(f"step {step}: loss {grads.loss:.4f}")

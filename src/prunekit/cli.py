@@ -40,20 +40,16 @@ def _parse_ints(text: str, flag: str) -> tuple[int, ...]:
     return tuple(_parse_int(p, flag) for p in str(text).split(",") if p != "")
 
 
-def _parse_bool(v) -> bool:
-    text = str(v).strip().lower()
-    if text not in ("1", "true", "yes", "on", "0", "false", "no", "off"):
-        raise ValueError(f"expected one of 1/true/yes/on/0/false/no/off, got {v!r}")
-    return text in ("1", "true", "yes", "on")
-
-
 def _parse_budgets(text: str) -> dict[int, int]:
     out = {}
     for item in text.split(","):
         ordinal, _, count = item.partition("=")
         if not count:
             raise ValueError(f"budgets must look like 2=8,3=16, got {text!r}")
-        out[_parse_int(ordinal, "budgets")] = _parse_int(count, "budgets")
+        conv = _parse_int(ordinal, "budgets")
+        if conv in out:
+            raise ValueError(f"--budgets: conv {conv} is given twice")
+        out[conv] = _parse_int(count, "budgets")
     return out
 
 
@@ -94,8 +90,7 @@ def parse_dataset(text: str, split: str = "") -> model_io.DatasetHandle:
 class _Options:
     """Flag values backed by an optional config file; flags win.
 
-    A config key must be a flag name of the subcommand, or one of the
-    training keys that `experiment` reads without a flag.
+    A config key must be a flag name of the subcommand.
     """
 
     def __init__(self, args: argparse.Namespace):
@@ -104,8 +99,6 @@ class _Options:
         if self.args.get("config"):
             self.file = model_io.load_config(self.args["config"])
         known = set(self.args) - {"command", "func", "config"}
-        if args.command == "experiment":
-            known |= {"momentum", "weight_decay", "no_nesterov"}
         unknown = sorted(set(self.file) - known)
         if unknown:
             raise ValueError(f"{self.args['config']}: unknown key {unknown[0]!r} "
@@ -127,9 +120,6 @@ def _train_config(opt: _Options, lr_default: float, epochs_default: int) -> harn
         epochs=opt.get("epochs", epochs_default, int),
         batch_size=opt.get("batch_size", 64, int),
         lr=opt.get("lr", lr_default, float),
-        momentum=opt.get("momentum", 0.9, float),
-        weight_decay=opt.get("weight_decay", 0.0001, float),
-        nesterov=not opt.get("no_nesterov", False, _parse_bool),
         seed=opt.get("seed", 0, int))
 
 
@@ -173,6 +163,16 @@ def cmd_prune(args) -> int:
     if cfg.budgets is None and cfg.flops_target is None:
         raise ValueError("give either --budgets or --cr")
     pruned, report, traces = harness.prune(ckpt, data, test_data, cfg)
+    for t in traces:
+        problems = []
+        if t.budget_warning:
+            problems.append(f"kept {t.kept} of its budget of {t.budget} (the "
+                            "other channels are zero on every probe)")
+        if not t.converged:
+            problems.append(f"LASSO ran out of sweeps at lambda {t.lambda_final:.6g}")
+        if problems:
+            print(f"warning: conv {t.conv_ordinal} (layer {t.layer_index}): "
+                  + "; ".join(problems), file=sys.stderr)
     model_io.save_checkpoint(args.out, pruned)
     print(harness.format_report(report))
     print(f"timings: " + " ".join(f"{k}={v:.2f}s" for k, v in report.timings.items()))
@@ -217,7 +217,7 @@ def cmd_experiment(args) -> int:
     locations = _parse_ints(opt.get("locations", "10"), "locations")
     plan = harness.ExperimentPlan.grid(variants, seeds, locations)
     train_cfg = _train_config(opt, lr_default=0.1, epochs_default=20)
-    finetune_cfg = harness.finetune_defaults(
+    finetune_cfg = harness.TrainConfig(
         epochs=opt.get("finetune_epochs", 10, int),
         lr=opt.get("finetune_lr", 0.01, float),
         batch_size=train_cfg.batch_size)
@@ -264,10 +264,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--epochs", type=int)
     p.add_argument("--batch-size", dest="batch_size", type=int)
     p.add_argument("--lr", type=float)
-    p.add_argument("--momentum", type=float)
-    p.add_argument("--weight-decay", dest="weight_decay", type=float)
-    p.add_argument("--no-nesterov", dest="no_nesterov", action="store_true",
-                   default=None)
     add_common(p)
     p.set_defaults(func=cmd_train)
 
@@ -294,10 +290,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--epochs", type=int)
     p.add_argument("--batch-size", dest="batch_size", type=int)
     p.add_argument("--lr", type=float)
-    p.add_argument("--momentum", type=float)
-    p.add_argument("--weight-decay", dest="weight_decay", type=float)
-    p.add_argument("--no-nesterov", dest="no_nesterov", action="store_true",
-                   default=None)
     add_common(p)
     p.set_defaults(func=cmd_finetune)
 

@@ -68,16 +68,21 @@ def desk_net(input_dims=(1, 28, 28), num_classes=10,
 # Training
 # ---------------------------------------------------------------------------
 
+# Each decay point multiplies the learning rate by this factor.
+DECAY_FACTOR = 0.1
+# Images per forward when measuring accuracy.
+EVAL_BATCH = 64
+
+
 @dataclass
 class TrainConfig:
+    """One SGD run: `nn.sgd_step`'s fixed rule at `lr`, decayed by
+    `DECAY_FACTOR` once each `decay_points` fraction of the epochs is done."""
+
     epochs: int = 20
     batch_size: int = 64
     lr: float = 0.1
-    momentum: float = 0.9
-    weight_decay: float = 1e-4
-    nesterov: bool = True
     decay_points: tuple[float, ...] = (0.5, 0.75)
-    decay_factor: float = 0.1
     seed: int = 0
 
     def __post_init__(self):
@@ -89,20 +94,15 @@ class TrainConfig:
             raise ValueError(f"lr must be > 0, got {self.lr}")
 
 
-def finetune_defaults(**overrides) -> TrainConfig:
-    cfg = TrainConfig(epochs=10, lr=0.01)
-    return replace(cfg, **overrides)
-
-
 def _epoch_lr(cfg: TrainConfig, epoch: int) -> float:
     drops = sum(1 for p in cfg.decay_points if epoch >= int(cfg.epochs * p))
-    return cfg.lr * cfg.decay_factor ** drops
+    return cfg.lr * DECAY_FACTOR ** drops
 
 
 def train(spec: nn.NetworkSpec, data: model_io.DatasetHandle, cfg: TrainConfig,
           init: list | None = None,
           eval_data: model_io.DatasetHandle | None = None) -> model_io.Checkpoint:
-    """SGD with momentum over shuffled mini-batches; step lr decay.
+    """SGD (`nn.sgd_step`) over shuffled mini-batches; step lr decay.
 
     With `init` the run resumes from those weights (fine-tuning); zero
     epochs returns the starting point unchanged.  A minibatch whose loss is
@@ -128,9 +128,6 @@ def train(spec: nn.NetworkSpec, data: model_io.DatasetHandle, cfg: TrainConfig,
                     f"training diverged: loss {grads.loss} at epoch {epoch + 1}, "
                     f"batch {start // cfg.batch_size + 1}")
             params, velocity = nn.sgd_step(params, grads.weights, lr,
-                                           momentum=cfg.momentum,
-                                           nesterov=cfg.nesterov,
-                                           weight_decay=cfg.weight_decay,
                                            velocity=velocity)
             # Free this step's activations before the next forward allocates
             # its own, so only one step's trace is ever alive.
@@ -152,16 +149,15 @@ def finetune(ckpt: model_io.Checkpoint, data: model_io.DatasetHandle,
     return out
 
 
-def evaluate(ckpt: model_io.Checkpoint, data: model_io.DatasetHandle,
-             batch_size: int = 64) -> float:
-    """Top-1 accuracy over a split, `batch_size` images per forward."""
+def evaluate(ckpt: model_io.Checkpoint, data: model_io.DatasetHandle) -> float:
+    """Top-1 accuracy over a split, `EVAL_BATCH` images per forward."""
     if len(data) == 0:
         raise ValueError("cannot evaluate on an empty split")
     correct = 0
-    for start in range(0, len(data), batch_size):
-        x = data.images[start:start + batch_size]
+    for start in range(0, len(data), EVAL_BATCH):
+        x = data.images[start:start + EVAL_BATCH]
         pred = nn.predict(ckpt.spec, ckpt.params, x).argmax(axis=1)
-        correct += int((pred == data.labels[start:start + batch_size]).sum())
+        correct += int((pred == data.labels[start:start + EVAL_BATCH]).sum())
     return correct / len(data)
 
 
@@ -334,8 +330,14 @@ def run_experiment(plan: ExperimentPlan, spec: nn.NetworkSpec,
     Cells are executed in a sorted order but are mutually independent, so
     any execution order yields the same result.  When `out_dir` is given,
     per-cell reports, traces, and the aggregate table are written there.
+    A plan with no cells, or with a cell twice, is rejected up front.
     """
+    if not plan.cells:
+        raise ValueError("experiment plan has no cells")
     cells = sorted(plan.cells, key=lambda c: (c.variant, c.num_locations, c.seed))
+    for a, b in zip(cells, cells[1:]):
+        if a == b:
+            raise ValueError(f"experiment plan repeats {a}")
     # Building every cell's config validates its variant and location count
     # before any baseline is trained.
     configs = [replace(prune_cfg, variant=c.variant, seed=c.seed,

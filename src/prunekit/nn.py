@@ -2,7 +2,7 @@
 
 Forward and reverse passes for the layer kinds the pruning pipeline needs
 (conv2d, relu, maxpool2d, flatten, linear, softmax cross-entropy head) plus
-a momentum SGD step.  Tensors are plain numpy float64 arrays; batched
+a Nesterov momentum SGD step.  Tensors are plain numpy float64 arrays; batched
 activations carry a leading batch axis.
 
 Every function here is pure: inputs are never mutated and identical inputs
@@ -587,14 +587,19 @@ def backward_collect(spec: NetworkSpec, params: list[LayerParams | None],
 # Optimizer
 # ---------------------------------------------------------------------------
 
-def sgd_step(params: list[LayerParams | None], grads: list[LayerParams | None],
-             lr: float, momentum: float = 0.0, nesterov: bool = False,
-             weight_decay: float = 0.0,
-             velocity: list[LayerParams | None] | None = None):
-    """One SGD step with classic momentum; returns (new_params, new_velocity).
+# The one SGD rule: weight decay on the gradient, then Nesterov momentum
+# (Sutskever, Martens, Dahl & Hinton 2013).
+MOMENTUM = 0.9
+WEIGHT_DECAY = 1e-4
 
-    Weight decay is added to the gradient before the momentum update.  With
-    nesterov, the step uses g + momentum * v as in the usual lookahead form.
+
+def sgd_step(params: list[LayerParams | None], grads: list[LayerParams | None],
+             lr: float, velocity: list[LayerParams | None] | None = None):
+    """One Nesterov momentum SGD step; returns (new_params, new_velocity).
+
+    With g' = g + WEIGHT_DECAY * w, the velocity becomes v' = MOMENTUM * v + g'
+    and the weights move by -lr * (g' + MOMENTUM * v').  No velocity means
+    zeros.
     """
     if lr <= 0:
         raise ValueError(f"learning rate must be positive, got {lr}")
@@ -610,17 +615,14 @@ def sgd_step(params: list[LayerParams | None], grads: list[LayerParams | None],
             continue
         if g.weights.shape != p.weights.shape or g.bias.shape != p.bias.shape:
             raise ShapeError("gradient shape does not match parameter shape")
-        upd_w, vel_w = _sgd_update(p.weights, g.weights, v.weights, lr, momentum,
-                                   nesterov, weight_decay)
-        upd_b, vel_b = _sgd_update(p.bias, g.bias, v.bias, lr, momentum,
-                                   nesterov, weight_decay)
+        upd_w, vel_w = _sgd_update(p.weights, g.weights, v.weights, lr)
+        upd_b, vel_b = _sgd_update(p.bias, g.bias, v.bias, lr)
         new_params.append(LayerParams(upd_w, upd_b))
         new_velocity.append(LayerParams(vel_w, vel_b))
     return new_params, new_velocity
 
 
-def _sgd_update(w, g, v, lr, momentum, nesterov, weight_decay):
-    g = g + weight_decay * w
-    v_new = momentum * v + g
-    step = g + momentum * v_new if nesterov else v_new
-    return w - lr * step, v_new
+def _sgd_update(w, g, v, lr):
+    g = g + WEIGHT_DECAY * w
+    v_new = MOMENTUM * v + g
+    return w - lr * (g + MOMENTUM * v_new), v_new

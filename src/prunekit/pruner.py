@@ -42,7 +42,7 @@ class PruneConfig:
     Budgets are keyed by conv ordinal (1-based over conv layers; the first
     conv is never prunable, so valid keys start at 2).  Alternatively
     `flops_target` resolves budgets as a uniform keep fraction across all
-    prunable convs, rounded up per layer.
+    prunable convs, rounded up per layer; setting both is an error.
     """
 
     budgets: dict[int, int] | None = None
@@ -57,6 +57,8 @@ class PruneConfig:
             raise ValueError(f"unknown variant {self.variant!r}; choose from {VARIANTS}")
         if self.num_locations < 1 or self.probe_images < 1:
             raise ValueError("num_locations and probe_images must be positive")
+        if self.budgets is not None and self.flops_target is not None:
+            raise ValueError("set budgets or flops_target, not both")
 
     def validate_for(self, spec: nn.NetworkSpec) -> None:
         convs = spec.conv_indices()
@@ -340,15 +342,13 @@ class PruneTrace:
         self.kept = len(self.support)
 
 
-def _rewrite(ckpt: model_io.Checkpoint, prev_index: int, layer_index: int,
-             support: np.ndarray, new_weights: np.ndarray,
-             new_bias: np.ndarray) -> model_io.Checkpoint:
-    """Drop unselected channels: producers at prev conv, consumers at layer l."""
-    layers = list(ckpt.spec.layers)
-    kept = len(support)
-    layers[prev_index] = replace(layers[prev_index], out_channels=kept)
-    layers[layer_index] = replace(layers[layer_index], in_channels=kept)
-    spec = nn.NetworkSpec(tuple(layers), ckpt.spec.input_dims, ckpt.spec.num_classes)
+def _rewrite(ckpt: model_io.Checkpoint, ordinal: int, support: np.ndarray,
+             new_weights: np.ndarray, new_bias: np.ndarray) -> model_io.Checkpoint:
+    """Drop unselected channels at conv `ordinal`: producers at the conv
+    before it, consumers at the conv itself."""
+    convs = ckpt.spec.conv_indices()
+    layer_index, prev_index = convs[ordinal - 1], convs[ordinal - 2]
+    spec = apply_budgets_to_spec(ckpt.spec, {ordinal: len(support)})
     params = [p.copy() if p is not None else None for p in ckpt.params]
     prev = ckpt.params[prev_index]
     params[prev_index] = nn.LayerParams(prev.weights[support].copy(),
@@ -461,8 +461,7 @@ def _prune_stage(uncompressed: model_io.Checkpoint, compressed: model_io.Checkpo
     rewrote only convs before this one, so its parameters are still the
     uncompressed ones.
     """
-    convs = uncompressed.spec.conv_indices()
-    li, prev = convs[ordinal - 1], convs[ordinal - 2]
+    li = uncompressed.spec.conv_indices()[ordinal - 1]
     layer = compressed.spec.layers[li]
     sample = sample_probes(compressed.spec, li, dataset, config)
     n_loc = sample.rows.shape[1]
@@ -488,7 +487,7 @@ def _prune_stage(uncompressed: model_io.Checkpoint, compressed: model_io.Checkpo
         converged = sel.converged
     refit = refit_layer(targets, support, cur)
     sup = np.asarray(support, dtype=np.int64)
-    return _rewrite(compressed, prev, li, sup, refit.weights, refit.bias), PruneTrace(
+    return _rewrite(compressed, ordinal, sup, refit.weights, refit.bias), PruneTrace(
         layer_index=li, conv_ordinal=ordinal, variant=config.variant,
         budget=budget, lambda_final=lam, support=tuple(support),
         residual_before=refit.residual_before,

@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from prunekit import cli, model_io, pruner
+from prunekit import cli, harness, model_io, nn, pruner
 
 DATA = "synth:count=160,classes=3,dims=1x12x12,seed=21,noise=0.2"
 TEST_DATA = "synth:count=80,classes=3,dims=1x12x12,seed=22,noise=0.2"
@@ -91,6 +91,36 @@ class TestPruneFinetune:
         assert code == 1
         assert "either --budgets or --cr" in capsys.readouterr().err
 
+    def test_prune_rejects_budgets_with_cr(self, ckpt_path, tmp_path, capsys):
+        code = run(["prune", "--checkpoint", str(ckpt_path), "--data", DATA,
+                    "--out", str(tmp_path / "p.ckpt"), "--budgets", "2=3",
+                    "--cr", "3.0"])
+        assert code == 1
+        assert capsys.readouterr().err == (
+            "error: set budgets or flops_target, not both\n")
+        assert not (tmp_path / "p.ckpt").exists()
+
+    def test_prune_warns_about_dead_channels(self, tmp_path, capsys):
+        # Filter 1 of the first conv is zero, so conv 2's input channel 1 is
+        # zero on every probe and a budget of all 4 channels cannot be met.
+        spec = harness.desk_net(input_dims=(1, 8, 8), num_classes=3,
+                                widths=(4, 4, 4, 4))
+        params = nn.init_params(spec, 0)
+        params[0].weights[1] = 0.0
+        params[0].bias[1] = 0.0
+        ckpt = tmp_path / "dead.ckpt"
+        model_io.save_checkpoint(ckpt, model_io.Checkpoint(spec, params, {}))
+        code = run(["prune", "--checkpoint", str(ckpt),
+                    "--data", "synth:count=40,classes=3,dims=1x8x8,seed=1",
+                    "--out", str(tmp_path / "p.ckpt"), "--budgets", "2=4",
+                    "--probe-images", "8", "--locations", "4"])
+        assert code == 0
+        assert capsys.readouterr().err == (
+            "warning: conv 2 (layer 3): kept 3 of its budget of 4 (the other "
+            "channels are zero on every probe)\n")
+        pruned = model_io.load_checkpoint(tmp_path / "p.ckpt")
+        assert pruned.spec.layers[3].in_channels == 3
+
     def test_finetune_round(self, ckpt_path, tmp_path, capsys):
         out = tmp_path / "tuned.ckpt"
         code = run(["finetune", "--checkpoint", str(ckpt_path), "--data", DATA,
@@ -125,6 +155,21 @@ class TestExperimentAndReport:
         assert run(["report", "--file", str(report_files[0])]) == 0
         assert "FLOPs" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("flag, value, want", [
+        ("--seeds", "", "experiment plan has no cells"),
+        ("--locations", "", "experiment plan has no cells"),
+        ("--seeds", "0,0", "experiment plan repeats ExperimentCell("
+                           "variant='cpli', seed=0, num_locations=10)")])
+    def test_plan_without_cells_or_with_repeats(self, tmp_path, capsys, flag,
+                                                value, want):
+        outdir = tmp_path / "exp"
+        code = run(["experiment", "--data", DATA, "--test-data", TEST_DATA,
+                    "--outdir", str(outdir), "--variants", "cpli",
+                    flag, value])
+        assert code == 1
+        assert capsys.readouterr().err == f"error: {want}\n"
+        assert not outdir.exists()
+
     def test_bad_dataset_descriptor(self, tmp_path, capsys):
         code = run(["train", "--data", "bogus:x=1",
                     "--out", str(tmp_path / "m.ckpt"), "--epochs", "0"])
@@ -151,36 +196,22 @@ class TestConfigFilesFailLoudly:
         assert err.count("\n") == 1
         assert "train.cfg" in err and "'epoch'" in err
         assert not (tmp_path / "m.ckpt").exists()
-        # Pruning has no gate scale, lambda grid ratio or starting damping to set.
-        cfg = tmp_path / "prune.cfg"
-        for command, key in (("prune", "gamma"), ("prune", "grid_ratio"),
-                             ("prune", "damping"), ("experiment", "gamma")):
+        # Pruning has no gate scale, lambda grid ratio or starting damping to
+        # set, and training no momentum, weight decay or Nesterov switch.
+        cfg = tmp_path / "other.cfg"
+        cases = [("prune", key) for key in ("gamma", "grid_ratio", "damping")]
+        cases += [(command, key) for command in ("train", "finetune", "experiment")
+                  for key in ("momentum", "weight_decay", "no_nesterov")]
+        cases.append(("experiment", "gamma"))
+        for command, key in cases:
             cfg.write_text(f"{key} = 1\n")
-            argv = ["--checkpoint", "x.ckpt", "--out", "y.ckpt"] \
-                if command == "prune" else ["--outdir", str(tmp_path / "exp")]
+            argv = {"prune": ["--checkpoint", "x.ckpt", "--out", "y.ckpt"],
+                    "finetune": ["--checkpoint", "x.ckpt", "--out", "y.ckpt"],
+                    "train": ["--out", "y.ckpt"],
+                    "experiment": ["--outdir", str(tmp_path / "exp")]}[command]
             assert run([command, "--config", str(cfg)] + argv) == 1
             assert capsys.readouterr().err == (
                 f"error: {cfg}: unknown key {key!r} for prunekit {command}\n")
-
-    def test_bad_boolean(self, tmp_path, capsys):
-        for text in ("no", "off", "0", "false", "yes", "on", "1", "TRUE"):
-            assert self.train_with_config(tmp_path, f"epochs = 0\nno_nesterov = {text}\n") == 0
-        capsys.readouterr()
-        assert self.train_with_config(tmp_path, "epochs = 0\nno_nesterov = ture\n") == 1
-        err = capsys.readouterr().err
-        assert err.count("\n") == 1
-        assert "train.cfg" in err and "no_nesterov" in err and "'ture'" in err
-
-    def test_experiment_reads_training_keys_without_flags(self, tmp_path, capsys):
-        cfg = tmp_path / "exp.cfg"
-        cfg.write_text("momentum = 0.5\nweight_decay = 0\nno_nesterov = 1\n")
-        assert run(["experiment", "--outdir", str(tmp_path / "exp"),
-                    "--config", str(cfg)]) == 1
-        assert "error: missing --data" in capsys.readouterr().err
-        cfg.write_text("momentum = 0.5\n")
-        assert run(["prune", "--checkpoint", "x.ckpt", "--out", "y.ckpt",
-                    "--config", str(cfg)]) == 1
-        assert "'momentum'" in capsys.readouterr().err
 
 
 class TestDatasetDescriptorsFailLoudly:
@@ -239,3 +270,8 @@ class TestIntegerFlagsFailLoudly:
         assert run(["prune", "--checkpoint", str(ckpt_path), "--data", DATA,
                     "--out", str(tmp_path / "p.ckpt"), "--budgets", value]) == 1
         self.assert_one_line(capsys, f"--budgets: {token} is not an integer")
+
+    def test_repeated_budget(self, ckpt_path, tmp_path, capsys):
+        assert run(["prune", "--checkpoint", str(ckpt_path), "--data", DATA,
+                    "--out", str(tmp_path / "p.ckpt"), "--budgets", "2=3,2=1"]) == 1
+        self.assert_one_line(capsys, "--budgets: conv 2 is given twice")

@@ -418,35 +418,21 @@ class TestSgdStep:
     def l(self, w):
         return [nn.LayerParams(np.array(w, dtype=float), np.zeros(1))]
 
-    def test_plain_gradient_step(self):
-        params = self.l([1.0, 2.0])
-        grads = self.l([0.5, -1.0])
-        new, _ = nn.sgd_step(params, grads, lr=0.1)
-        np.testing.assert_allclose(new[0].weights, [0.95, 2.1])
-
     def test_two_step_momentum_recurrence(self):
-        # v1 = g, w1 = w0 - lr*v1; v2 = 0.9*g + g, w2 = w1 - lr*v2
-        g = np.array([2.0])
-        params = self.l([1.0])
-        grads = self.l(g)
-        p1, v1 = nn.sgd_step(params, grads, lr=0.1, momentum=0.9)
-        p2, _ = nn.sgd_step(p1, grads, lr=0.1, momentum=0.9, velocity=v1)
-        np.testing.assert_allclose(p1[0].weights, [1.0 - 0.1 * 2.0])
-        np.testing.assert_allclose(p2[0].weights, [1.0 - 0.1 * 2.0 - 0.1 * (0.9 * 2.0 + 2.0)])
-
-    def test_weight_decay_added_to_gradient(self):
-        params = self.l([10.0])
-        grads = self.l([0.0])
-        new, _ = nn.sgd_step(params, grads, lr=0.1, weight_decay=0.0001)
-        np.testing.assert_allclose(new[0].weights, [10.0 - 0.1 * 0.001])
-
-    def test_nesterov_lookahead(self):
-        params = self.l([1.0])
-        grads = self.l([2.0])
-        new, vel = nn.sgd_step(params, grads, lr=0.1, momentum=0.9, nesterov=True)
-        # v = g; step = g + 0.9*v = 3.8
-        np.testing.assert_allclose(vel[0].weights, [2.0])
-        np.testing.assert_allclose(new[0].weights, [1.0 - 0.1 * 3.8])
+        # The fixed rule, expanded by hand: g' = g + 1e-4 * w, v' = 0.9 * v + g',
+        # w' = w - lr * (g' + 0.9 * v'), starting from v = 0.
+        w0, g, lr = 10.0, 2.0, 0.1
+        p1, v1 = nn.sgd_step(self.l([w0]), self.l([g]), lr=lr)
+        g1 = g + 1e-4 * w0
+        w1 = w0 - lr * (g1 + 0.9 * g1)
+        np.testing.assert_allclose(v1[0].weights, [g1], rtol=1e-15)
+        np.testing.assert_allclose(p1[0].weights, [w1], rtol=1e-15)
+        p2, v2 = nn.sgd_step(p1, self.l([g]), lr=lr, velocity=v1)
+        g2 = g + 1e-4 * w1
+        v2_want = 0.9 * g1 + g2
+        np.testing.assert_allclose(v2[0].weights, [v2_want], rtol=1e-15)
+        np.testing.assert_allclose(p2[0].weights, [w1 - lr * (g2 + 0.9 * v2_want)],
+                                   rtol=1e-15)
 
     def test_rejects_nonpositive_lr(self):
         with pytest.raises(ValueError, match="learning rate"):
@@ -488,7 +474,6 @@ class TestGradientProperty:
                 assert np.isfinite(out).all()
             grads = nn.backward_collect(spec, params, trace, labels)
             params, velocity = nn.sgd_step(params, grads.weights, lr=0.1,
-                                           momentum=0.9, weight_decay=1e-4,
                                            velocity=velocity)
         for p in params:
             if p is not None:
