@@ -147,6 +147,23 @@ def cmd_train(args) -> int:
     return 0
 
 
+def _warn_stages(traces, where: str = "") -> None:
+    """One `warning:` line on stderr per stage whose trace sets `warning`
+    (fewer nonzero channels than the budget) or clears `converged`; `where`
+    names the prune's experiment cell."""
+    for t in traces:
+        problems = []
+        if t.budget_warning:
+            problems.append(f"kept {t.kept} of its budget of {t.budget} (the "
+                            "other channels are zero on every probe)")
+        if not t.converged:
+            problems.append(f"LASSO ran out of sweeps at lambda {t.lambda_final:.6g}")
+        if problems:
+            print(f"warning: conv {t.conv_ordinal} (layer {t.layer_index}): "
+                  + "; ".join(problems) + (f" [{where}]" if where else ""),
+                  file=sys.stderr)
+
+
 def cmd_prune(args) -> int:
     opt = _Options(args)
     ckpt = model_io.load_checkpoint(args.checkpoint)
@@ -163,16 +180,7 @@ def cmd_prune(args) -> int:
     if cfg.budgets is None and cfg.flops_target is None:
         raise ValueError("give either --budgets or --cr")
     pruned, report, traces = harness.prune(ckpt, data, test_data, cfg)
-    for t in traces:
-        problems = []
-        if t.budget_warning:
-            problems.append(f"kept {t.kept} of its budget of {t.budget} (the "
-                            "other channels are zero on every probe)")
-        if not t.converged:
-            problems.append(f"LASSO ran out of sweeps at lambda {t.lambda_final:.6g}")
-        if problems:
-            print(f"warning: conv {t.conv_ordinal} (layer {t.layer_index}): "
-                  + "; ".join(problems), file=sys.stderr)
+    _warn_stages(traces)
     model_io.save_checkpoint(args.out, pruned)
     print(harness.format_report(report))
     print(f"timings: " + " ".join(f"{k}={v:.2f}s" for k, v in report.timings.items()))
@@ -226,6 +234,8 @@ def cmd_experiment(args) -> int:
         probe_images=opt.get("probe_images", 256, int))
     result = harness.run_experiment(plan, spec, data, test_data, train_cfg,
                                     finetune_cfg, prune_cfg, out_dir=args.outdir)
+    for key, traces in sorted(result.traces.items()):
+        _warn_stages(traces, harness.cell_stem(*key))
     print(harness.format_experiment_table(result), end="")
     print(f"artifacts in {args.outdir}")
     return 0

@@ -92,6 +92,8 @@ class TrainConfig:
             raise ValueError(f"batch_size must be >= 1, got {self.batch_size}")
         if not self.lr > 0:
             raise ValueError(f"lr must be > 0, got {self.lr}")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
 
 
 def _epoch_lr(cfg: TrainConfig, epoch: int) -> float:
@@ -305,18 +307,25 @@ class ExperimentRow:
 @dataclass
 class ExperimentResult:
     """An experiment's outcome; `table.json` holds all of it but the
-    per-cell reports."""
+    per-cell reports and prune traces, keyed (variant, locations, seed)."""
 
     rows: list[ExperimentRow]
     baseline_accuracy: dict[int, float]
     reports: dict[tuple, CompressionReport] = field(default_factory=dict,
                                                     metadata={"written": False})
+    traces: dict[tuple, list[pruner.PruneTrace]] = field(default_factory=dict,
+                                                         metadata={"written": False})
 
     def row(self, variant: str, num_locations: int = 10) -> ExperimentRow:
         for r in self.rows:
             if r.variant == variant and r.num_locations == num_locations:
                 return r
         raise KeyError((variant, num_locations))
+
+
+def cell_stem(variant: str, num_locations: int, seed: int) -> str:
+    """A cell's name in its report and trace file names."""
+    return f"{variant}_loc{num_locations}_seed{seed}"
 
 
 def run_experiment(plan: ExperimentPlan, spec: nn.NetworkSpec,
@@ -359,6 +368,7 @@ def run_experiment(plan: ExperimentPlan, spec: nn.NetworkSpec,
     # `train` and `finetune` record each checkpoint's test accuracy in its
     # metadata, so every checkpoint is evaluated once.
     reports: dict[tuple, CompressionReport] = {}
+    cell_traces: dict[tuple, list[pruner.PruneTrace]] = {}
     for cell, cfg in zip(cells, configs):
         baseline = baselines[cell.seed]
         pruned, report, traces = prune(baseline, train_data, test_data, cfg,
@@ -368,8 +378,9 @@ def run_experiment(plan: ExperimentPlan, spec: nn.NetworkSpec,
         report = report.with_finetuned(tuned.metadata["accuracy"])
         key = (cell.variant, cell.num_locations, cell.seed)
         reports[key] = report
+        cell_traces[key] = traces
         if out_path is not None:
-            stem = f"{cell.variant}_loc{cell.num_locations}_seed{cell.seed}"
+            stem = cell_stem(*key)
             write_report(out_path / f"report_{stem}.json", report)
             pruner.write_traces(out_path / f"trace_{stem}.txt", traces)
 
@@ -389,7 +400,7 @@ def run_experiment(plan: ExperimentPlan, spec: nn.NetworkSpec,
                 [r.compression_ratio for r in cell_reports]))))
 
     result = ExperimentResult(
-        rows=rows, reports=reports,
+        rows=rows, reports=reports, traces=cell_traces,
         baseline_accuracy={s: baselines[s].metadata["accuracy"]
                            for s in sorted(baselines)})
     if out_path is not None:

@@ -42,7 +42,8 @@ class PruneConfig:
     Budgets are keyed by conv ordinal (1-based over conv layers; the first
     conv is never prunable, so valid keys start at 2).  Alternatively
     `flops_target` resolves budgets as a uniform keep fraction across all
-    prunable convs, rounded up per layer; setting both is an error.
+    prunable convs, rounded up per layer; setting both is an error, as are
+    a target that is not finite or below 1 and a negative seed.
     """
 
     budgets: dict[int, int] | None = None
@@ -59,6 +60,11 @@ class PruneConfig:
             raise ValueError("num_locations and probe_images must be positive")
         if self.budgets is not None and self.flops_target is not None:
             raise ValueError("set budgets or flops_target, not both")
+        if self.flops_target is not None and not 1.0 <= self.flops_target < np.inf:
+            raise ValueError(f"flops_target must be finite and >= 1, "
+                             f"got {self.flops_target}")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
 
     def validate_for(self, spec: nn.NetworkSpec) -> None:
         convs = spec.conv_indices()
@@ -147,23 +153,31 @@ class FeatureProbe(RefitTargets):
 
 def extract_probes(uncompressed: model_io.Checkpoint, compressed: model_io.Checkpoint,
                    layer_index: int, dataset: model_io.DatasetHandle,
-                   sample: ProbeSample, gradient: bool = True) -> FeatureProbe:
+                   sample: ProbeSample, gradient: bool = True,
+                   y0: np.ndarray | None = None,
+                   table: ResponseTable | None = None) -> FeatureProbe:
     """Probe records of the sampled images as one batch, rows in (image,
     location) order.
 
-    y0 comes from the uncompressed model's forward, run only up to the
-    probed layer, or from the compressed forward when both models are
-    bit-equal up to it; ystar, the loss gradient, the input patches (rows of
-    the probed conv's im2col matrix) and the contributions z come from the
-    current compressed model, with z evaluated against the uncompressed
-    layer weights.  That is at most two forwards and, with `gradient`, one
-    activation-only backward, which stops at the probed layer's output, the
-    only gradient needed.  Mean cross-entropy is a sum of per-image terms
-    and no layer couples images, so the batch gradient times the batch size
-    is each image's own batch-size-1 gradient.  Without `gradient` the
-    compressed forward stops at the probed layer too, no backward runs and
-    `grad` is None.  A pruning stage calls this once per chunk of its
-    sample.
+    ystar, the loss gradient, the input patches (rows of the probed conv's
+    im2col matrix) and the contributions z come from the current compressed
+    model, with z evaluated against the uncompressed layer weights.  y0
+    comes from one of three places:
+    - `y0`, when given: the sample's uncompressed responses, already known
+      (a pruning stage after the first reads them from its prune's
+      `ResponseTable`); no uncompressed forward runs;
+    - with `table`, the compressed model is still the uncompressed one (the
+      first stage of a prune), so y0 comes from the compressed forward,
+      which then runs at least to `table.upto` and fills the table's rows
+      of the sample's images;
+    - otherwise a forward of the uncompressed model up to the probed layer.
+    With `gradient`, one activation-only backward runs, which stops at the
+    probed layer's output, the only gradient needed.  Mean cross-entropy is
+    a sum of per-image terms and no layer couples images, so the batch
+    gradient times the batch size is each image's own batch-size-1
+    gradient.  Without `gradient` the compressed forward stops as early as
+    it can, no backward runs and `grad` is None.  A pruning stage calls
+    this once per chunk of its sample.
     """
     layer = compressed.spec.layers[layer_index]
     if layer.kind != nn.CONV2D:
@@ -174,21 +188,24 @@ def extract_probes(uncompressed: model_io.Checkpoint, compressed: model_io.Check
     ids, rows, cols = sample.image_ids, sample.rows, sample.cols
     n, n_loc = rows.shape
     batch = dataset.images[ids]
+    upto = layer_index if table is None else max(layer_index, table.upto)
     trace_c = nn.forward_collect(compressed.spec, compressed.params, batch,
-                                 upto=None if gradient else layer_index)
-    trace_u = trace_c if _same_prefix(uncompressed, compressed, layer_index) else \
-        nn.forward_collect(uncompressed.spec, uncompressed.params, batch,
-                           upto=layer_index)
+                                 upto=None if gradient else upto)
     # Fancy indexing puts the (image, location) axes first: (n, n_loc, ...).
     k = np.arange(n)[:, None]
+    if table is not None:
+        table.fill(trace_c, ids)
+    if y0 is None:
+        trace_u = trace_c if table is not None else nn.forward_collect(
+            uncompressed.spec, uncompressed.params, batch, upto=layer_index)
+        b0 = uncompressed.params[layer_index].bias
+        y0 = (trace_u.outputs[layer_index][k, :, rows, cols] - b0).reshape(-1, c_out)
     grad = None
     if gradient:
         grads = nn.backward_collect(compressed.spec, compressed.params, trace_c,
                                     dataset.labels[ids], stop=layer_index + 1,
                                     wrt_weights=False)
         grad = (grads.activations[layer_index][k, :, rows, cols] * n).reshape(-1, c_out)
-    b0 = uncompressed.params[layer_index].bias
-    y0 = (trace_u.outputs[layer_index][k, :, rows, cols] - b0).reshape(-1, c_out)
     b_cur = compressed.params[layer_index].bias
     ystar = (trace_c.outputs[layer_index][k, :, rows, cols] - b_cur).reshape(-1, c_out)
     # im2col rows run over (image, output row, output column).
@@ -205,16 +222,54 @@ def extract_probes(uncompressed: model_io.Checkpoint, compressed: model_io.Check
     return FeatureProbe(y0=y0, patches=patches, ystar=ystar, grad=grad, z=z)
 
 
-def _same_prefix(a: model_io.Checkpoint, b: model_io.Checkpoint, upto: int) -> bool:
-    """True when layers 0..upto have equal specs and bit-equal parameters."""
-    if (a.spec.input_dims != b.spec.input_dims
-            or a.spec.layers[:upto + 1] != b.spec.layers[:upto + 1]):
-        return False
-    for pa, pb in zip(a.params[:upto + 1], b.params[:upto + 1]):
-        if pa is not None and (pa.weights.tobytes() != pb.weights.tobytes()
-                               or pa.bias.tobytes() != pb.bias.tobytes()):
-            return False
-    return True
+class ResponseTable:
+    """The uncompressed model's y0 rows at the later stages of one prune.
+
+    The uncompressed model never changes during a prune, so each later
+    stage's y0 is computed once, before that stage runs.  `rows[li]` holds
+    the bias-free responses of conv `li` at its stage's sampled images and
+    locations, [image, location, out_channel] in sample order.  `fill`
+    writes the rows of the sample images a forward of the uncompressed
+    model passed through; the first stage's forwards are such forwards,
+    and `top_up` forwards the uncompressed model over the images they
+    missed.  `writes[li]` counts the fills of each sample image; after
+    `top_up` every count is 1.
+    """
+
+    def __init__(self, uncompressed: model_io.Checkpoint,
+                 samples: dict[int, ProbeSample]):
+        self.samples = samples
+        self.bias = {li: uncompressed.params[li].bias for li in samples}
+        self.rows = {li: np.empty((len(s), s.rows.shape[1],
+                                   uncompressed.spec.layers[li].out_channels))
+                     for li, s in samples.items()}
+        self.writes = {li: np.zeros(len(s), dtype=np.int64)
+                       for li, s in samples.items()}
+        # The last layer a filling forward has to reach.
+        self.upto = max(samples, default=0)
+
+    def fill(self, trace: nn.ForwardTrace, image_ids: np.ndarray) -> None:
+        """Write the rows of every sample image among `image_ids`, the
+        sorted images of `trace`'s batch, one gather per stage."""
+        last = len(image_ids) - 1
+        for li, s in self.samples.items():
+            at = np.minimum(np.searchsorted(image_ids, s.image_ids), last)
+            hit = np.flatnonzero(image_ids[at] == s.image_ids)
+            self.rows[li][hit] = (trace.outputs[li][at[hit, None], :, s.rows[hit],
+                                                    s.cols[hit]] - self.bias[li])
+            self.writes[li][hit] += 1
+
+    def top_up(self, uncompressed: model_io.Checkpoint,
+               dataset: model_io.DatasetHandle) -> None:
+        """Fill the rows no forward has reached yet: one forward of the
+        uncompressed model up to `upto` per `_PROBE_CHUNK` of the missing
+        images, each freed before the next."""
+        missing = np.unique(np.concatenate(
+            [s.image_ids[self.writes[li] == 0] for li, s in self.samples.items()]))
+        for start in range(0, len(missing), _PROBE_CHUNK):
+            ids = missing[start:start + _PROBE_CHUNK]
+            self.fill(nn.forward_collect(uncompressed.spec, uncompressed.params,
+                                         dataset.images[ids], upto=self.upto), ids)
 
 
 def build_weighted_system(probe: FeatureProbe, variant: str) -> solvers.WeightedSystem:
@@ -379,8 +434,6 @@ def resolve_budgets(spec: nn.NetworkSpec, config: PruneConfig) -> dict[int, int]
         return dict(config.budgets)
     if config.flops_target is None:
         return {}
-    if config.flops_target < 1.0:
-        raise ValueError(f"flops_target must be >= 1, got {config.flops_target}")
 
     from .harness import flops_count  # deferred: harness wraps this module
 
@@ -423,23 +476,33 @@ def prune_model(uncompressed: model_io.Checkpoint, dataset: model_io.DatasetHand
 
     Convs are visited shallow to deep, skipping the first; after each stage
     the model is the pruned prefix, the freshly refit layer, and the
-    untouched suffix.  Each stage runs in its own function scope, so its
-    probes, selection system and refit are freed before the next stage
-    extracts probes.  Any stage failure raises with the traces so far
-    attached to the exception.
+    untouched suffix.  Every stage's probe sample is drawn up front (a draw
+    depends only on the map size, the dataset length and [seed, layer]),
+    so the uncompressed responses y0 of the later stages go into one
+    `ResponseTable`: the first stage's forwards fill what they pass over,
+    and a top-up forward of the uncompressed model fills the rest before
+    the second stage.  No later stage runs the uncompressed model.  Each
+    stage runs in its own function scope, so its probes, selection system
+    and refit are freed before the next stage extracts probes.  Any stage
+    failure raises with the traces so far attached to the exception.
     """
     _check_conv_chain(uncompressed.spec)
     budgets = resolve_budgets(uncompressed.spec, config)
     convs = uncompressed.spec.conv_indices()
+    stages = sorted(budgets)
+    samples = {o: sample_probes(uncompressed.spec, convs[o - 1], dataset, config)
+               for o in stages}
+    table = ResponseTable(uncompressed, {convs[o - 1]: samples[o] for o in stages[1:]})
     compressed = uncompressed.copy()
     traces: list[PruneTrace] = []
-    for ordinal in range(2, len(convs) + 1):
-        budget = budgets.get(ordinal)
-        if budget is None:
-            continue
+    for k, ordinal in enumerate(stages):
         try:
-            compressed, trace = _prune_stage(uncompressed, compressed, dataset, config,
-                                             ordinal, budget)
+            if k == 1:
+                table.top_up(uncompressed, dataset)
+            compressed, trace = _prune_stage(
+                uncompressed, compressed, dataset, config, ordinal, budgets[ordinal],
+                samples[ordinal], y0=table.rows.pop(convs[ordinal - 1]) if k else None,
+                table=None if k else table)
         except Exception as exc:
             exc.prune_traces = traces
             raise
@@ -449,30 +512,37 @@ def prune_model(uncompressed: model_io.Checkpoint, dataset: model_io.DatasetHand
 
 def _prune_stage(uncompressed: model_io.Checkpoint, compressed: model_io.Checkpoint,
                  dataset: model_io.DatasetHandle, config: PruneConfig, ordinal: int,
-                 budget: int) -> tuple[model_io.Checkpoint, PruneTrace]:
+                 budget: int, sample: ProbeSample, y0: np.ndarray | None = None,
+                 table: ResponseTable | None = None
+                 ) -> tuple[model_io.Checkpoint, PruneTrace]:
     """Probe, select, refit and rewrite one conv; returns the new model and
     the stage's trace.
 
     The sample's images are probed in chunks of `_PROBE_CHUNK`, with the
-    loss gradient only for the `GRADIENT_VARIANTS`.  Each chunk's y0 and
-    patches are kept for the refit, and its selection rows are folded into
-    a `solvers.SystemStream`, so the stage never holds the whole sample's
-    z, ystar, gradients or design matrix.  Earlier stages
-    rewrote only convs before this one, so its parameters are still the
-    uncompressed ones.
+    loss gradient only for the `GRADIENT_VARIANTS`.  The first stage of a
+    prune passes the prune's `table` to every chunk's `extract_probes`,
+    which fills it and returns the chunk's own y0; a later stage instead
+    is handed its uncompressed responses `y0`, [image, location,
+    out_channel] in sample order, and they are its refit targets' y0 as
+    they are.  Each chunk's patches (and, at the first stage, y0) are kept
+    for the refit, and its selection rows are folded into a
+    `solvers.SystemStream`, so the stage never holds the whole sample's z,
+    ystar, gradients or design matrix.  Earlier stages rewrote only convs
+    before this one, so its parameters are still the uncompressed ones.
     """
     li = uncompressed.spec.conv_indices()[ordinal - 1]
     layer = compressed.spec.layers[li]
-    sample = sample_probes(compressed.spec, li, dataset, config)
     n_loc = sample.rows.shape[1]
-    targets = RefitTargets(
-        y0=np.empty((len(sample) * n_loc, layer.out_channels)),
-        patches=np.empty((len(sample) * n_loc, layer.in_channels, *layer.kernel)))
+    total = len(sample) * n_loc
+    if table is not None:
+        y0 = np.empty((total, layer.out_channels))
+    targets = RefitTargets(y0=y0.reshape(total, -1),
+                           patches=np.empty((total, layer.in_channels, *layer.kernel)))
     stream = None if config.variant == VARIANT_MAGNITUDE else solvers.SystemStream()
     for start in range(0, len(sample), _PROBE_CHUNK):
         _probe_chunk(uncompressed, compressed, li, dataset, config,
                      sample.chunk(start, start + _PROBE_CHUNK), targets,
-                     slice(start * n_loc, (start + _PROBE_CHUNK) * n_loc), stream)
+                     slice(start * n_loc, (start + _PROBE_CHUNK) * n_loc), stream, table)
     cur = compressed.params[li]
     if stream is None:
         support = magnitude_select(cur.weights, budget)
@@ -501,14 +571,19 @@ def _prune_stage(uncompressed: model_io.Checkpoint, compressed: model_io.Checkpo
 def _probe_chunk(uncompressed: model_io.Checkpoint, compressed: model_io.Checkpoint,
                  layer_index: int, dataset: model_io.DatasetHandle, config: PruneConfig,
                  chunk: ProbeSample, targets: RefitTargets, at: slice,
-                 stream: solvers.SystemStream | None) -> None:
-    """Probe one chunk: its y0 and patches go to `targets[at]`, its
-    selection rows into `stream`.  Everything else the chunk made (forward
-    traces, gradients, z, its rows of A) is freed on return, before the
-    next chunk's forwards."""
+                 stream: solvers.SystemStream | None,
+                 table: ResponseTable | None) -> None:
+    """Probe one chunk: its patches go to `targets[at]`, and so does its y0
+    at the first stage (with `table`; a later stage's `targets.y0[at]` is
+    already known), its selection rows go into `stream`.  Everything else
+    the chunk made (forward traces, gradients, z, its rows of A) is freed
+    on return, before the next chunk's forwards."""
     probe = extract_probes(uncompressed, compressed, layer_index, dataset, chunk,
-                           gradient=config.variant in GRADIENT_VARIANTS)
-    targets.y0[at] = probe.y0
+                           gradient=config.variant in GRADIENT_VARIANTS,
+                           y0=None if table is not None else targets.y0[at],
+                           table=table)
+    if table is not None:
+        targets.y0[at] = probe.y0
     targets.patches[at] = probe.patches
     if stream is not None:
         stream.add(build_weighted_system(probe, config.variant))

@@ -293,14 +293,17 @@ def sample_probes_loop(spec, layer_index, dataset, config):
 
 
 def extract_probes_loop(uncompressed, compressed, layer_index, dataset, sample,
-                        gradient=True):
+                        gradient=True, y0=None, table=None):
     """`pruner.extract_probes` with one batch-size-1 backward per probe image.
 
     The forwards run over the sample's images as one batch, as the
     library's do; each image's gradient comes from its own full backward
     pass (none without `gradient`, and `grad` is None), each receptive
     field from an explicit slice, and each image's z from one matmul per
-    input channel, (locations, kh*kw) @ (kh*kw, c_out).
+    input channel, (locations, kh*kw) @ (kh*kw, c_out).  `y0` and `table`
+    mean what they mean to the library: given rows are returned as they
+    are, and a table is filled from the compressed forward, which then
+    also gives y0.
     """
     layer = compressed.spec.layers[layer_index]
     kh, kw = layer.kernel
@@ -312,12 +315,17 @@ def extract_probes_loop(uncompressed, compressed, layer_index, dataset, sample,
     w0_taps = w0.reshape(c_out, c_in, kh * kw).transpose(1, 2, 0)
     b0 = uncompressed.params[layer_index].bias
     b_cur = compressed.params[layer_index].bias
-    y0, ystar, grad, z, patches = ([] for _ in range(5))
+    ystar, grad, z, patches = ([] for _ in range(4))
     ids = sample.image_ids
-    trace_u = nn.forward_collect(uncompressed.spec, uncompressed.params,
-                                 dataset.images[ids])
     trace_c = nn.forward_collect(compressed.spec, compressed.params,
                                  dataset.images[ids])
+    if table is not None:
+        table.fill(trace_c, ids)
+        trace_u = trace_c
+    elif y0 is None:
+        trace_u = nn.forward_collect(uncompressed.spec, uncompressed.params,
+                                     dataset.images[ids])
+    y0_rows = []
     for k, image in enumerate(ids):
         rr, cc = sample.rows[k], sample.cols[k]
         if gradient:
@@ -334,13 +342,14 @@ def extract_probes_loop(uncompressed, compressed, layer_index, dataset, sample,
         x_in = np.pad(x_in, ((0, 0), (pad, pad), (pad, pad)))
         pat = np.array([x_in[:, r * stride:r * stride + kh, c * stride:c * stride + kw]
                         for r, c in zip(rr, cc)])
-        y0.append(trace_u.outputs[layer_index][k][:, rr, cc].T - b0)
+        if y0 is None:
+            y0_rows.append(trace_u.outputs[layer_index][k][:, rr, cc].T - b0)
         ystar.append(trace_c.outputs[layer_index][k][:, rr, cc].T - b_cur)
         patches.append(pat)
         taps = pat.reshape(len(rr), c_in, kh * kw).transpose(1, 0, 2)
         z.append(np.matmul(taps, w0_taps).transpose(1, 2, 0))
     return pruner.FeatureProbe(
-        y0=np.concatenate(y0), ystar=np.concatenate(ystar),
+        y0=np.concatenate(y0_rows) if y0 is None else y0, ystar=np.concatenate(ystar),
         grad=np.concatenate(grad) if gradient else None, z=np.concatenate(z),
         patches=np.concatenate(patches))
 

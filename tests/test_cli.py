@@ -155,6 +155,26 @@ class TestExperimentAndReport:
         assert run(["report", "--file", str(report_files[0])]) == 0
         assert "FLOPs" in capsys.readouterr().out
 
+    def test_experiment_warns_per_cell(self, tmp_path, capsys):
+        # Full budgets on two probe locations of four images: some input
+        # channels are zero on every probe of seed 0's cell, none of seed 1's.
+        outdir = tmp_path / "exp"
+        code = run(["experiment", "--data", DATA, "--test-data", TEST_DATA,
+                    "--outdir", str(outdir), "--variants", "cp_baseline",
+                    "--seeds", "0,1", "--locations", "2", "--cr", "1",
+                    "--widths", "4,6,6,8", "--epochs", "1",
+                    "--finetune-epochs", "0", "--batch-size", "32",
+                    "--probe-images", "4"])
+        assert code == 0
+        dead = "(the other channels are zero on every probe) [cp_baseline_loc2_seed0]"
+        assert capsys.readouterr().err == (
+            f"warning: conv 2 (layer 3): kept 3 of its budget of 4 {dead}\n"
+            f"warning: conv 4 (layer 8): kept 5 of its budget of 6 {dead}\n")
+        flagged = [t.conv_ordinal for t in pruner.read_traces(
+            outdir / "trace_cp_baseline_loc2_seed0.txt") if t.budget_warning]
+        assert flagged == [2, 4]
+        assert "traces" not in json.loads((outdir / "table.json").read_text())
+
     @pytest.mark.parametrize("flag, value, want", [
         ("--seeds", "", "experiment plan has no cells"),
         ("--locations", "", "experiment plan has no cells"),
@@ -258,12 +278,36 @@ class TestIntegerFlagsFailLoudly:
         ("--batch-size", "0", "batch_size must be >= 1, got 0"),
         ("--batch-size", "-1", "batch_size must be >= 1, got -1"),
         ("--lr", "0", "lr must be > 0, got 0.0"),
-        ("--lr", "-0.1", "lr must be > 0, got -0.1")])
+        ("--lr", "-0.1", "lr must be > 0, got -0.1"),
+        ("--seed", "-3", "seed must be >= 0, got -3")])
     def test_train_settings_out_of_range(self, tmp_path, capsys, flag, value, want):
         assert run(["train", "--data", DATA, "--out", str(tmp_path / "m.ckpt"),
                     flag, value]) == 1
         self.assert_one_line(capsys, want)
         assert not (tmp_path / "m.ckpt").exists()
+
+    @pytest.mark.parametrize("flags, want", [
+        (["--cr", "nan"], "flops_target must be finite and >= 1, got nan"),
+        (["--cr", "inf"], "flops_target must be finite and >= 1, got inf"),
+        (["--cr", "0.5"], "flops_target must be finite and >= 1, got 0.5"),
+        (["--cr", "2", "--seed", "-1"], "seed must be >= 0, got -1")])
+    def test_prune_settings_out_of_range(self, ckpt_path, tmp_path, capsys, flags,
+                                         want):
+        assert run(["prune", "--checkpoint", str(ckpt_path), "--data", DATA,
+                    "--out", str(tmp_path / "p.ckpt")] + flags) == 1
+        self.assert_one_line(capsys, want)
+        assert not (tmp_path / "p.ckpt").exists()
+
+    @pytest.mark.parametrize("flag, value, want", [
+        ("--cr", "nan", "flops_target must be finite and >= 1, got nan"),
+        ("--seeds", "0,-2", "seed must be >= 0, got -2")])
+    def test_experiment_settings_fail_before_training(self, tmp_path, capsys,
+                                                      monkeypatch, flag, value, want):
+        monkeypatch.setattr(harness, "train", lambda *a, **k: pytest.fail("trained"))
+        assert run(["experiment", "--data", DATA, "--test-data", TEST_DATA,
+                    "--outdir", str(tmp_path / "exp"), flag, value]) == 1
+        self.assert_one_line(capsys, want)
+        assert not (tmp_path / "exp").exists()
 
     @pytest.mark.parametrize("value, token", [("2=x", "'x'"), ("two=3", "'two'")])
     def test_budgets(self, ckpt_path, tmp_path, capsys, value, token):

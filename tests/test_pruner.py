@@ -54,6 +54,16 @@ class TestPruneConfig:
         with pytest.raises(ValueError, match="unknown variant"):
             pruner.PruneConfig(variant="nope")
 
+    @pytest.mark.parametrize("kwargs, want", [
+        (dict(flops_target=float("nan")), "flops_target must be finite and >= 1, got nan"),
+        (dict(flops_target=float("inf")), "flops_target must be finite and >= 1, got inf"),
+        (dict(flops_target=0.5), "flops_target must be finite and >= 1, got 0.5"),
+        (dict(seed=-1), "seed must be >= 0, got -1")])
+    def test_rejected_at_construction(self, kwargs, want):
+        with pytest.raises(ValueError) as err:
+            pruner.PruneConfig(**kwargs)
+        assert str(err.value) == want
+
     def test_budget_keys_validated(self, trained):
         cfg = pruner.PruneConfig(budgets={1: 3})
         with pytest.raises(ValueError, match="first conv is never pruned"):
@@ -631,8 +641,11 @@ class TestPruneModel:
         # 40 probe images are chunks of 16, 16 and 8 at each of two convs.
         # Only the variants that read the gradient run a backward, and it
         # computes no weight gradient; the others' compressed forward stops
-        # at the probed conv.  Conv 2's models agree up to it, so its chunks
-        # run one forward; conv 3's run one per model.
+        # as early as it can.  Conv 2's stage probes a model that is still
+        # the uncompressed one, so its forwards reach conv 3 and fill conv
+        # 3's y0 rows of the images they share.  Then one uncompressed
+        # forward per 16 of the 39 other conv 3 images fills the rest, and
+        # conv 3's chunks run the compressed model alone.
         real_forward, real_backward = nn.forward_collect, nn.backward_collect
         calls = []
 
@@ -646,18 +659,22 @@ class TestPruneModel:
 
         monkeypatch.setattr(nn, "forward_collect", forward)
         monkeypatch.setattr(nn, "backward_collect", backward)
-        pruner.prune_model(trained, synth_data, quick_config(
-            budgets={2: 4, 3: 5}, probe_images=40, variant=variant))
+        cfg = quick_config(budgets={2: 4, 3: 5}, probe_images=40, variant=variant)
+        pruner.prune_model(trained, synth_data, cfg)
         reads_grad = variant in ("cpli", "cpli_no_fi")
         assert reads_grad == (variant in pruner.GRADIENT_VARIANTS)
+        c2, c3 = trained.spec.conv_indices()[1:3]
+        ids2, ids3 = (pruner.sample_probes(trained.spec, li, synth_data, cfg).image_ids
+                      for li in (c2, c3))
+        assert len(np.setdiff1d(ids3, ids2)) == 39
         want = []
-        for li in trained.spec.conv_indices()[1:3]:
-            chunk = [("forward", "c", None if reads_grad else li)]
-            if li != trained.spec.conv_indices()[1]:
-                chunk.append(("forward", "u", li))
+        for li in (c2, c3):
+            chunk = [("forward", "c", None if reads_grad else c3)]
             if reads_grad:
                 chunk.append(("backward", li + 1, False))
             want += chunk * 3
+            if li == c2:
+                want += [("forward", "u", c3)] * 3
         assert calls == want
 
     def test_stage_failure_carries_traces_so_far(self, trained, synth_data,
@@ -701,6 +718,117 @@ class TestPruneModel:
                 assert all(t.lambda_final is None for t in traces)
             else:
                 assert all(t.lambda_final is not None for t in traces)
+
+
+def record_stages(monkeypatch):
+    """Every stage's refit targets and every `ResponseTable` a prune makes."""
+    targets, tables = [], []
+    refit = pruner.refit_layer
+    monkeypatch.setattr(pruner, "refit_layer", lambda t, *a, **k:
+                        targets.append(t) or refit(t, *a, **k))
+
+    class Recorded(pruner.ResponseTable):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            tables.append(self)
+
+    monkeypatch.setattr(pruner, "ResponseTable", Recorded)
+    return targets, tables
+
+
+def own_chunks_y0(ckpt, li, dataset, cfg):
+    """Conv `li`'s y0 rows from an uncompressed forward over each of its
+    stage's own chunks, as a stage computed them before the table."""
+    sample = pruner.sample_probes(ckpt.spec, li, dataset, cfg)
+    step = pruner._PROBE_CHUNK
+    return np.concatenate([
+        pruner.extract_probes(ckpt, ckpt, li, dataset, sample.chunk(s, s + step),
+                              gradient=False).y0 for s in range(0, len(sample), step)])
+
+
+class TestResponseTable:
+    """The later stages' y0 rows, filled by the first stage and a top-up."""
+
+    @pytest.mark.parametrize("probe_images", [48, 700, 800])
+    def test_every_later_row_is_written_once(self, trained, synth_data, monkeypatch,
+                                             probe_images):
+        # 800 is the whole dataset: the first stage covers every image and
+        # no top-up forward runs.
+        _, tables = record_stages(monkeypatch)
+        uncompressed = []
+        real = nn.forward_collect
+        monkeypatch.setattr(nn, "forward_collect", lambda spec, params, *a, **k:
+                            uncompressed.append(params is trained.params)
+                            or real(spec, params, *a, **k))
+        cfg = quick_config(flops_target=2.0, probe_images=probe_images)
+        pruner.prune_model(trained, synth_data, cfg)
+        (table,) = tables
+        convs = trained.spec.conv_indices()
+        assert sorted(table.writes) == convs[2:] and not table.rows
+        for li in convs[2:]:
+            assert (table.writes[li] == 1).all()
+        first = pruner.sample_probes(trained.spec, convs[1], synth_data, cfg).image_ids
+        later = np.union1d(*(table.samples[li].image_ids for li in convs[2:]))
+        top_up = -(-len(np.setdiff1d(later, first)) // pruner._PROBE_CHUNK)
+        assert sum(uncompressed) == top_up
+        assert (top_up == 0) == (probe_images == 800)
+
+    @pytest.mark.parametrize("variant", ["cpli", "cp_baseline"])
+    def test_rows_match_each_stages_own_forward(self, trained, synth_data,
+                                                monkeypatch, variant):
+        # At these shapes a conv row's last bits depend on the batch it is
+        # computed in, so rows taken from other batches agree only closely.
+        targets, _ = record_stages(monkeypatch)
+        cfg = quick_config(flops_target=2.0, variant=variant)
+        pruner.prune_model(trained, synth_data, cfg)
+        for li, got in zip(trained.spec.conv_indices()[1:], targets):
+            np.testing.assert_allclose(got.y0, own_chunks_y0(trained, li, synth_data,
+                                                             cfg), rtol=1e-12)
+
+    @pytest.mark.parametrize("variant", ["cpli", "cp_baseline"])
+    def test_rows_bit_equal_at_28x28(self, monkeypatch, variant):
+        # The default net on 28x28 inputs, untrained: here a conv row's bits
+        # do not depend on its batch.
+        data = model_io.synth_dataset(5, 200, 10, dims=(1, 28, 28), split="train")
+        spec = harness.desk_net()
+        ckpt = model_io.Checkpoint(spec, nn.init_params(spec, 1), {})
+        targets, _ = record_stages(monkeypatch)
+        cfg = pruner.PruneConfig(flops_target=2.0, probe_images=40, variant=variant)
+        pruner.prune_model(ckpt, data, cfg)
+        assert len(targets) == 3
+        for li, got in zip(spec.conv_indices()[1:], targets):
+            want = own_chunks_y0(ckpt, li, data, cfg)
+            assert got.y0.shape == want.shape and got.y0.tobytes() == want.tobytes()
+
+    def test_first_stage_at_conv_3(self, trained, synth_data, monkeypatch):
+        targets, tables = record_stages(monkeypatch)
+        cfg = quick_config(budgets={3: 5, 4: 6})
+        _, traces = pruner.prune_model(trained, synth_data, cfg)
+        assert [t.conv_ordinal for t in traces] == [3, 4]
+        c3, c4 = trained.spec.conv_indices()[2:]
+        (table,) = tables
+        assert list(table.writes) == [c4] and (table.writes[c4] == 1).all()
+        for li, got in zip((c3, c4), targets):
+            np.testing.assert_allclose(got.y0, own_chunks_y0(trained, li, synth_data,
+                                                             cfg), rtol=1e-12)
+
+    def test_single_stage_has_no_rows_and_no_top_up(self, trained, synth_data,
+                                                    monkeypatch):
+        targets, tables = record_stages(monkeypatch)
+        models = []
+        real = nn.forward_collect
+        monkeypatch.setattr(nn, "forward_collect", lambda spec, params, *a, **k:
+                            models.append(params is trained.params)
+                            or real(spec, params, *a, **k))
+        cfg = quick_config(budgets={3: 5})
+        _, traces = pruner.prune_model(trained, synth_data, cfg)
+        assert [t.conv_ordinal for t in traces] == [3]
+        (table,) = tables
+        assert not table.samples and not table.rows
+        assert models == [False] * 3  # the stage's three compressed forwards
+        li = trained.spec.conv_indices()[2]
+        want = own_chunks_y0(trained, li, synth_data, cfg)
+        assert targets[0].y0.tobytes() == want.tobytes()
 
 
 class TestPruneMemory:
