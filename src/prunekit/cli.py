@@ -14,6 +14,7 @@ diagnostic line on stderr otherwise.
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 from pathlib import Path
 
@@ -260,13 +261,15 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="prunekit", description=__doc__,
                                      formatter_class=argparse.RawDescriptionHelpFormatter)
     sub = parser.add_subparsers(dest="command", required=True)
+    # No flag abbreviations: `experiment --seed` is refused, not read as --seeds.
+    add_parser = functools.partial(sub.add_parser, allow_abbrev=False)
 
-    def add_common(p, *, config=True):
-        if config:
-            p.add_argument("--config", help="key = value config file")
-        p.add_argument("--seed", type=int, default=None)
+    def add_common(p, *, seed=True):
+        p.add_argument("--config", help="key = value config file")
+        if seed:
+            p.add_argument("--seed", type=int)
 
-    p = sub.add_parser("train", help="train the reference net from scratch")
+    p = add_parser("train", help="train the reference net from scratch")
     p.add_argument("--data", help="training dataset descriptor")
     p.add_argument("--eval-data", dest="eval_data")
     p.add_argument("--out", required=True)
@@ -277,7 +280,7 @@ def build_parser() -> argparse.ArgumentParser:
     add_common(p)
     p.set_defaults(func=cmd_train)
 
-    p = sub.add_parser("prune", help="prune a trained checkpoint")
+    p = add_parser("prune", help="prune a trained checkpoint")
     p.add_argument("--checkpoint", required=True)
     p.add_argument("--data", help="probe image source (training split)")
     p.add_argument("--test-data", dest="test_data")
@@ -292,7 +295,7 @@ def build_parser() -> argparse.ArgumentParser:
     add_common(p)
     p.set_defaults(func=cmd_prune)
 
-    p = sub.add_parser("finetune", help="resume SGD on a pruned checkpoint")
+    p = add_parser("finetune", help="resume SGD on a pruned checkpoint")
     p.add_argument("--checkpoint", required=True)
     p.add_argument("--data")
     p.add_argument("--eval-data", dest="eval_data")
@@ -303,13 +306,13 @@ def build_parser() -> argparse.ArgumentParser:
     add_common(p)
     p.set_defaults(func=cmd_finetune)
 
-    p = sub.add_parser("eval", help="top-1 accuracy of a checkpoint")
+    p = add_parser("eval", help="top-1 accuracy of a checkpoint")
     p.add_argument("--checkpoint", required=True)
     p.add_argument("--data")
-    add_common(p)
+    add_common(p, seed=False)
     p.set_defaults(func=cmd_eval)
 
-    p = sub.add_parser("experiment", help="ablation / location-sweep grid")
+    p = add_parser("experiment", help="ablation / location-sweep grid")
     p.add_argument("--data")
     p.add_argument("--test-data", dest="test_data")
     p.add_argument("--outdir", required=True)
@@ -324,10 +327,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--lr", type=float)
     p.add_argument("--finetune-lr", dest="finetune_lr", type=float)
     p.add_argument("--probe-images", dest="probe_images", type=int)
-    add_common(p)
+    add_common(p, seed=False)
     p.set_defaults(func=cmd_experiment)
 
-    p = sub.add_parser("report", help="pretty-print a stored report or table")
+    p = add_parser("report", help="pretty-print a stored report or table")
     p.add_argument("--file", required=True)
     p.set_defaults(func=cmd_report)
 

@@ -104,17 +104,22 @@ def sample_probes(spec: nn.NetworkSpec, layer_index: int,
                   dataset: model_io.DatasetHandle, config: PruneConfig) -> ProbeSample:
     """Draw `probe_images` images and `num_locations` spatial positions per
     image of conv `layer_index`'s output map, without replacement (all
-    positions when the map is smaller, with `exhaustive` set)."""
+    positions when the map is smaller, with `exhaustive` set).
+
+    The images are drawn from the seed alone, so every layer of a prune
+    probes the same images; the locations are drawn per layer, from
+    [seed, layer_index]."""
     layer = spec.layers[layer_index]
     if layer.kind != nn.CONV2D:
         raise ValueError(f"layer {layer_index} is {layer.kind}, not conv2d")
     _, ho, wo = spec.activation_dims()[layer_index]
-    rng = np.random.default_rng([config.seed, layer_index])
     n_avail = len(dataset)
     if n_avail == 0:
         raise ValueError("no probe images: the dataset is empty")
     n_images = min(config.probe_images, n_avail)
-    image_ids = np.sort(rng.choice(n_avail, size=n_images, replace=False))
+    image_ids = np.sort(np.random.default_rng([config.seed]).choice(
+        n_avail, size=n_images, replace=False))
+    rng = np.random.default_rng([config.seed, layer_index])
     n_loc = min(config.num_locations, ho * wo)
     flat_locs = np.array([rng.choice(ho * wo, size=n_loc, replace=False)
                           for _ in range(n_images)])
@@ -151,11 +156,21 @@ class FeatureProbe(RefitTargets):
     z: np.ndarray
 
 
+def _at(output: np.ndarray, sample: ProbeSample) -> np.ndarray:
+    """A layer's [image, channel, row, column] output at the sample's
+    locations, one row per (image, location) in sample order; the output's
+    batch is the sample's images."""
+    # Fancy indexing puts the (image, location) axes first: (n, n_loc, ...).
+    return output[np.arange(len(sample))[:, None], :, sample.rows,
+                  sample.cols].reshape(-1, output.shape[1])
+
+
 def extract_probes(uncompressed: model_io.Checkpoint, compressed: model_io.Checkpoint,
                    layer_index: int, dataset: model_io.DatasetHandle,
                    sample: ProbeSample, gradient: bool = True,
                    y0: np.ndarray | None = None,
-                   table: ResponseTable | None = None) -> FeatureProbe:
+                   table: dict[int, tuple[ProbeSample, np.ndarray]] | None = None
+                   ) -> FeatureProbe:
     """Probe records of the sampled images as one batch, rows in (image,
     location) order.
 
@@ -164,12 +179,12 @@ def extract_probes(uncompressed: model_io.Checkpoint, compressed: model_io.Check
     model, with z evaluated against the uncompressed layer weights.  y0
     comes from one of three places:
     - `y0`, when given: the sample's uncompressed responses, already known
-      (a pruning stage after the first reads them from its prune's
-      `ResponseTable`); no uncompressed forward runs;
+      (a pruning stage after the first was handed them); no uncompressed
+      forward runs;
     - with `table`, the compressed model is still the uncompressed one (the
-      first stage of a prune), so y0 comes from the compressed forward,
-      which then runs at least to `table.upto` and fills the table's rows
-      of the sample's images;
+      first stage of a prune).  `table` maps each layer to write, the probed
+      one among them, to its sample of these images and its y0 rows; the
+      compressed forward runs to the deepest, writes them all and gives y0;
     - otherwise a forward of the uncompressed model up to the probed layer.
     With `gradient`, one activation-only backward runs, which stops at the
     probed layer's output, the only gradient needed.  Mean cross-entropy is
@@ -188,29 +203,29 @@ def extract_probes(uncompressed: model_io.Checkpoint, compressed: model_io.Check
     ids, rows, cols = sample.image_ids, sample.rows, sample.cols
     n, n_loc = rows.shape
     batch = dataset.images[ids]
-    upto = layer_index if table is None else max(layer_index, table.upto)
+    upto = max([layer_index, *(table or ())])
     trace_c = nn.forward_collect(compressed.spec, compressed.params, batch,
                                  upto=None if gradient else upto)
-    # Fancy indexing puts the (image, location) axes first: (n, n_loc, ...).
-    k = np.arange(n)[:, None]
     if table is not None:
-        table.fill(trace_c, ids)
-    if y0 is None:
-        trace_u = trace_c if table is not None else nn.forward_collect(
-            uncompressed.spec, uncompressed.params, batch, upto=layer_index)
+        for li, (s, out) in table.items():
+            out[...] = _at(trace_c.outputs[li], s) - uncompressed.params[li].bias
+        y0 = table[layer_index][1]
+    elif y0 is None:
+        trace_u = nn.forward_collect(uncompressed.spec, uncompressed.params, batch,
+                                     upto=layer_index)
         b0 = uncompressed.params[layer_index].bias
-        y0 = (trace_u.outputs[layer_index][k, :, rows, cols] - b0).reshape(-1, c_out)
+        y0 = _at(trace_u.outputs[layer_index], sample) - b0
     grad = None
     if gradient:
         grads = nn.backward_collect(compressed.spec, compressed.params, trace_c,
                                     dataset.labels[ids], stop=layer_index + 1,
                                     wrt_weights=False)
-        grad = (grads.activations[layer_index][k, :, rows, cols] * n).reshape(-1, c_out)
+        grad = _at(grads.activations[layer_index], sample) * n
     b_cur = compressed.params[layer_index].bias
-    ystar = (trace_c.outputs[layer_index][k, :, rows, cols] - b_cur).reshape(-1, c_out)
+    ystar = _at(trace_c.outputs[layer_index], sample) - b_cur
     # im2col rows run over (image, output row, output column).
-    patches = trace_c.cols[layer_index][(k * ho + rows) * wo + cols].reshape(
-        -1, c_in, kh, kw)
+    patches = trace_c.cols[layer_index][(np.arange(n)[:, None] * ho + rows) * wo
+                                        + cols].reshape(-1, c_in, kh, kw)
     # z[p, i, j] = <patches[p, j], w0[i, j]>: one GEMM per (input channel,
     # image), (n_loc, kh*kw) @ (kh*kw, c_out), broadcast over both axes.
     # Input channels are the outer axis in memory, so z is a view whose
@@ -220,56 +235,6 @@ def extract_probes(uncompressed: model_io.Checkpoint, compressed: model_io.Check
                   w0.transpose(1, 2, 0)[:, None])
     z = z.reshape(c_in, n * n_loc, c_out).transpose(1, 2, 0)
     return FeatureProbe(y0=y0, patches=patches, ystar=ystar, grad=grad, z=z)
-
-
-class ResponseTable:
-    """The uncompressed model's y0 rows at the later stages of one prune.
-
-    The uncompressed model never changes during a prune, so each later
-    stage's y0 is computed once, before that stage runs.  `rows[li]` holds
-    the bias-free responses of conv `li` at its stage's sampled images and
-    locations, [image, location, out_channel] in sample order.  `fill`
-    writes the rows of the sample images a forward of the uncompressed
-    model passed through; the first stage's forwards are such forwards,
-    and `top_up` forwards the uncompressed model over the images they
-    missed.  `writes[li]` counts the fills of each sample image; after
-    `top_up` every count is 1.
-    """
-
-    def __init__(self, uncompressed: model_io.Checkpoint,
-                 samples: dict[int, ProbeSample]):
-        self.samples = samples
-        self.bias = {li: uncompressed.params[li].bias for li in samples}
-        self.rows = {li: np.empty((len(s), s.rows.shape[1],
-                                   uncompressed.spec.layers[li].out_channels))
-                     for li, s in samples.items()}
-        self.writes = {li: np.zeros(len(s), dtype=np.int64)
-                       for li, s in samples.items()}
-        # The last layer a filling forward has to reach.
-        self.upto = max(samples, default=0)
-
-    def fill(self, trace: nn.ForwardTrace, image_ids: np.ndarray) -> None:
-        """Write the rows of every sample image among `image_ids`, the
-        sorted images of `trace`'s batch, one gather per stage."""
-        last = len(image_ids) - 1
-        for li, s in self.samples.items():
-            at = np.minimum(np.searchsorted(image_ids, s.image_ids), last)
-            hit = np.flatnonzero(image_ids[at] == s.image_ids)
-            self.rows[li][hit] = (trace.outputs[li][at[hit, None], :, s.rows[hit],
-                                                    s.cols[hit]] - self.bias[li])
-            self.writes[li][hit] += 1
-
-    def top_up(self, uncompressed: model_io.Checkpoint,
-               dataset: model_io.DatasetHandle) -> None:
-        """Fill the rows no forward has reached yet: one forward of the
-        uncompressed model up to `upto` per `_PROBE_CHUNK` of the missing
-        images, each freed before the next."""
-        missing = np.unique(np.concatenate(
-            [s.image_ids[self.writes[li] == 0] for li, s in self.samples.items()]))
-        for start in range(0, len(missing), _PROBE_CHUNK):
-            ids = missing[start:start + _PROBE_CHUNK]
-            self.fill(nn.forward_collect(uncompressed.spec, uncompressed.params,
-                                         dataset.images[ids], upto=self.upto), ids)
 
 
 def build_weighted_system(probe: FeatureProbe, variant: str) -> solvers.WeightedSystem:
@@ -476,73 +441,72 @@ def prune_model(uncompressed: model_io.Checkpoint, dataset: model_io.DatasetHand
 
     Convs are visited shallow to deep, skipping the first; after each stage
     the model is the pruned prefix, the freshly refit layer, and the
-    untouched suffix.  Every stage's probe sample is drawn up front (a draw
-    depends only on the map size, the dataset length and [seed, layer]),
-    so the uncompressed responses y0 of the later stages go into one
-    `ResponseTable`: the first stage's forwards fill what they pass over,
-    and a top-up forward of the uncompressed model fills the rest before
-    the second stage.  No later stage runs the uncompressed model.  Each
-    stage runs in its own function scope, so its probes, selection system
-    and refit are freed before the next stage extracts probes.  Any stage
-    failure raises with the traces so far attached to the exception.
+    untouched suffix.  Every stage probes the same images in the same
+    chunks (see `sample_probes`), and the first stage's model is still the
+    uncompressed one, so its chunk forwards write every stage's
+    uncompressed responses y0, allocated up front; no stage runs the
+    uncompressed model.  Each stage runs in its own function scope, so its
+    probes, selection system and refit are freed before the next stage
+    extracts probes.  Any stage failure raises with the traces so far
+    attached to the exception.
     """
     _check_conv_chain(uncompressed.spec)
     budgets = resolve_budgets(uncompressed.spec, config)
     convs = uncompressed.spec.conv_indices()
-    stages = sorted(budgets)
-    samples = {o: sample_probes(uncompressed.spec, convs[o - 1], dataset, config)
-               for o in stages}
-    table = ResponseTable(uncompressed, {convs[o - 1]: samples[o] for o in stages[1:]})
+    samples = {convs[o - 1]: sample_probes(uncompressed.spec, convs[o - 1], dataset,
+                                           config) for o in sorted(budgets)}
+    stages = {li: (s, np.empty((s.rows.size, len(uncompressed.params[li].bias))))
+              for li, s in samples.items()}
     compressed = uncompressed.copy()
     traces: list[PruneTrace] = []
-    for k, ordinal in enumerate(stages):
+    for k, ordinal in enumerate(sorted(budgets)):
+        li = convs[ordinal - 1]
         try:
-            if k == 1:
-                table.top_up(uncompressed, dataset)
             compressed, trace = _prune_stage(
                 uncompressed, compressed, dataset, config, ordinal, budgets[ordinal],
-                samples[ordinal], y0=table.rows.pop(convs[ordinal - 1]) if k else None,
-                table=None if k else table)
+                *stages[li], fill=None if k else stages)
         except Exception as exc:
             exc.prune_traces = traces
             raise
+        del stages[li]
         traces.append(trace)
     return compressed, traces
 
 
 def _prune_stage(uncompressed: model_io.Checkpoint, compressed: model_io.Checkpoint,
                  dataset: model_io.DatasetHandle, config: PruneConfig, ordinal: int,
-                 budget: int, sample: ProbeSample, y0: np.ndarray | None = None,
-                 table: ResponseTable | None = None
+                 budget: int, sample: ProbeSample, y0: np.ndarray,
+                 fill: dict[int, tuple[ProbeSample, np.ndarray]] | None
                  ) -> tuple[model_io.Checkpoint, PruneTrace]:
     """Probe, select, refit and rewrite one conv; returns the new model and
     the stage's trace.
 
     The sample's images are probed in chunks of `_PROBE_CHUNK`, with the
-    loss gradient only for the `GRADIENT_VARIANTS`.  The first stage of a
-    prune passes the prune's `table` to every chunk's `extract_probes`,
-    which fills it and returns the chunk's own y0; a later stage instead
-    is handed its uncompressed responses `y0`, [image, location,
-    out_channel] in sample order, and they are its refit targets' y0 as
-    they are.  Each chunk's patches (and, at the first stage, y0) are kept
-    for the refit, and its selection rows are folded into a
-    `solvers.SystemStream`, so the stage never holds the whole sample's z,
-    ystar, gradients or design matrix.  Earlier stages rewrote only convs
-    before this one, so its parameters are still the uncompressed ones.
+    loss gradient only for the `GRADIENT_VARIANTS`.  `y0` is the stage's
+    refit targets' y0, [image and location, out_channel] in sample order.
+    At the first stage of a prune, `fill` maps every stage's layer to its
+    sample and y0, and each chunk's forward writes their rows; a later
+    stage's `y0` is already written.  Each chunk's patches are kept for the
+    refit, and its selection rows are folded into a `solvers.SystemStream`,
+    so the stage never holds the whole sample's z, ystar, gradients or
+    design matrix.  Earlier stages rewrote only convs before this one, so
+    its parameters are still the uncompressed ones.
     """
     li = uncompressed.spec.conv_indices()[ordinal - 1]
     layer = compressed.spec.layers[li]
     n_loc = sample.rows.shape[1]
-    total = len(sample) * n_loc
-    if table is not None:
-        y0 = np.empty((total, layer.out_channels))
-    targets = RefitTargets(y0=y0.reshape(total, -1),
-                           patches=np.empty((total, layer.in_channels, *layer.kernel)))
+    targets = RefitTargets(y0=y0, patches=np.empty((len(y0), layer.in_channels,
+                                                    *layer.kernel)))
     stream = None if config.variant == VARIANT_MAGNITUDE else solvers.SystemStream()
     for start in range(0, len(sample), _PROBE_CHUNK):
+        stop = start + _PROBE_CHUNK
+        table = None if fill is None else {
+            lj: (s.chunk(start, stop), rows[start * s.rows.shape[1]:
+                                            stop * s.rows.shape[1]])
+            for lj, (s, rows) in fill.items()}
         _probe_chunk(uncompressed, compressed, li, dataset, config,
-                     sample.chunk(start, start + _PROBE_CHUNK), targets,
-                     slice(start * n_loc, (start + _PROBE_CHUNK) * n_loc), stream, table)
+                     sample.chunk(start, stop), targets,
+                     slice(start * n_loc, stop * n_loc), stream, table)
     cur = compressed.params[li]
     if stream is None:
         support = magnitude_select(cur.weights, budget)
@@ -572,18 +536,15 @@ def _probe_chunk(uncompressed: model_io.Checkpoint, compressed: model_io.Checkpo
                  layer_index: int, dataset: model_io.DatasetHandle, config: PruneConfig,
                  chunk: ProbeSample, targets: RefitTargets, at: slice,
                  stream: solvers.SystemStream | None,
-                 table: ResponseTable | None) -> None:
-    """Probe one chunk: its patches go to `targets[at]`, and so does its y0
-    at the first stage (with `table`; a later stage's `targets.y0[at]` is
-    already known), its selection rows go into `stream`.  Everything else
-    the chunk made (forward traces, gradients, z, its rows of A) is freed
-    on return, before the next chunk's forwards."""
+                 table: dict[int, tuple[ProbeSample, np.ndarray]] | None) -> None:
+    """Probe one chunk: its patches go to `targets[at]` and its selection
+    rows into `stream`; with `table`, every stage's y0 rows of the chunk
+    are written.  Everything else the chunk made (forward traces,
+    gradients, z, its rows of A) is freed before the next chunk's forwards."""
     probe = extract_probes(uncompressed, compressed, layer_index, dataset, chunk,
                            gradient=config.variant in GRADIENT_VARIANTS,
                            y0=None if table is not None else targets.y0[at],
                            table=table)
-    if table is not None:
-        targets.y0[at] = probe.y0
     targets.patches[at] = probe.patches
     if stream is not None:
         stream.add(build_weighted_system(probe, config.variant))

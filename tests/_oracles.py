@@ -278,9 +278,10 @@ def synth_dataset_loop(seed, count, classes, dims=(1, 16, 16), noise=0.25,
 def sample_probes_loop(spec, layer_index, dataset, config):
     """`pruner.sample_probes` drawn one image at a time."""
     _, ho, wo = spec.activation_dims()[layer_index]
-    rng = np.random.default_rng([config.seed, layer_index])
     n_images = min(config.probe_images, len(dataset))
-    image_ids = np.sort(rng.choice(len(dataset), size=n_images, replace=False))
+    image_ids = np.sort(np.random.default_rng([config.seed]).choice(
+        len(dataset), size=n_images, replace=False))
+    rng = np.random.default_rng([config.seed, layer_index])
     n_loc = min(config.num_locations, ho * wo)
     rows, cols = [], []
     for _ in range(n_images):
@@ -302,8 +303,8 @@ def extract_probes_loop(uncompressed, compressed, layer_index, dataset, sample,
     field from an explicit slice, and each image's z from one matmul per
     input channel, (locations, kh*kw) @ (kh*kw, c_out).  `y0` and `table`
     mean what they mean to the library: given rows are returned as they
-    are, and a table is filled from the compressed forward, which then
-    also gives y0.
+    are, and each layer of a table gets its rows from the compressed
+    forward, one image at a time; y0 is then the probed layer's rows.
     """
     layer = compressed.spec.layers[layer_index]
     kh, kw = layer.kernel
@@ -320,8 +321,11 @@ def extract_probes_loop(uncompressed, compressed, layer_index, dataset, sample,
     trace_c = nn.forward_collect(compressed.spec, compressed.params,
                                  dataset.images[ids])
     if table is not None:
-        table.fill(trace_c, ids)
-        trace_u = trace_c
+        for li, (at, out) in table.items():
+            out[...] = np.concatenate(
+                [trace_c.outputs[li][k][:, at.rows[k], at.cols[k]].T
+                 - uncompressed.params[li].bias for k in range(len(ids))])
+        y0 = table[layer_index][1]
     elif y0 is None:
         trace_u = nn.forward_collect(uncompressed.spec, uncompressed.params,
                                      dataset.images[ids])

@@ -203,6 +203,14 @@ class TestExperimentAndReport:
         assert "error:" in capsys.readouterr().err
 
 
+# Each command's required flags, pointing nowhere.
+EXTRA_ARGS = {"prune": lambda tmp: ["--checkpoint", "x.ckpt", "--out", "y.ckpt"],
+              "finetune": lambda tmp: ["--checkpoint", "x.ckpt", "--out", "y.ckpt"],
+              "train": lambda tmp: ["--out", "y.ckpt"],
+              "eval": lambda tmp: ["--checkpoint", "x.ckpt"],
+              "experiment": lambda tmp: ["--outdir", str(tmp / "exp")]}
+
+
 class TestConfigFilesFailLoudly:
     def train_with_config(self, tmp_path, text):
         cfg = tmp_path / "train.cfg"
@@ -223,15 +231,22 @@ class TestConfigFilesFailLoudly:
         cases += [(command, key) for command in ("train", "finetune", "experiment")
                   for key in ("momentum", "weight_decay", "no_nesterov")]
         cases.append(("experiment", "gamma"))
+        # Evaluation draws nothing at random, and an experiment takes its
+        # seeds from --seeds.
+        cases += [("eval", "seed"), ("experiment", "seed")]
         for command, key in cases:
             cfg.write_text(f"{key} = 1\n")
-            argv = {"prune": ["--checkpoint", "x.ckpt", "--out", "y.ckpt"],
-                    "finetune": ["--checkpoint", "x.ckpt", "--out", "y.ckpt"],
-                    "train": ["--out", "y.ckpt"],
-                    "experiment": ["--outdir", str(tmp_path / "exp")]}[command]
+            argv = EXTRA_ARGS[command](tmp_path)
             assert run([command, "--config", str(cfg)] + argv) == 1
             assert capsys.readouterr().err == (
                 f"error: {cfg}: unknown key {key!r} for prunekit {command}\n")
+
+    @pytest.mark.parametrize("command", ["eval", "experiment"])
+    def test_no_seed_flag(self, tmp_path, capsys, command):
+        with pytest.raises(SystemExit) as err:
+            run([command, "--seed", "-1"] + EXTRA_ARGS[command](tmp_path))
+        assert err.value.code == 2
+        assert "unrecognized arguments: --seed -1" in capsys.readouterr().err
 
 
 class TestDatasetDescriptorsFailLoudly:
