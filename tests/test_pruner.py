@@ -734,13 +734,6 @@ def own_chunks_y0(ckpt, li, dataset, cfg):
                               gradient=False).y0 for s in range(0, len(sample), step)])
 
 
-def default_net_at_28x28():
-    """The default net on 28x28 inputs, untrained, and 200 images."""
-    data = model_io.synth_dataset(5, 200, 10, dims=(1, 28, 28), split="train")
-    spec = harness.desk_net()
-    return model_io.Checkpoint(spec, nn.init_params(spec, 1), {}), data
-
-
 class TestSharedSample:
     """Every stage of a prune probes the same images, and the first stage's
     forwards write every stage's y0."""
@@ -767,8 +760,10 @@ class TestSharedSample:
         if shapes == "desk":
             ckpt, data = trained, synth_data
             cfg = quick_config(flops_target=2.0, variant=variant)
-        else:
-            ckpt, data = default_net_at_28x28()
+        else:  # the default net on 28x28 inputs, untrained
+            data = model_io.synth_dataset(5, 200, 10, dims=(1, 28, 28), split="train")
+            ckpt = model_io.Checkpoint(harness.desk_net(),
+                                       nn.init_params(harness.desk_net(), 1), {})
             cfg = pruner.PruneConfig(flops_target=2.0, probe_images=40,
                                      variant=variant)
         targets = record_targets(monkeypatch)
@@ -795,7 +790,6 @@ class TestSharedSample:
         assert [t.conv_ordinal for t in traces] == ordinals
         # Three 16-image chunks per stage, each one compressed forward.
         assert models == [False] * 3 * len(ordinals)
-        monkeypatch.setattr(nn, "forward_collect", real)
         convs = trained.spec.conv_indices()
         for ordinal, got in zip(ordinals, targets):
             want = own_chunks_y0(trained, convs[ordinal - 1], synth_data, cfg)
