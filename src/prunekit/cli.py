@@ -69,6 +69,10 @@ def parse_dataset(text: str, split: str = "") -> model_io.DatasetHandle:
     if bad:
         raise ValueError(f"bad dataset token {bad[0]!r} ({takes} as key=value)")
     opts = dict(t.split("=", 1) for t in tokens)
+    if len(opts) < len(tokens):
+        keys = [t.split("=", 1)[0] for t in tokens]
+        twice = next(k for k in keys if keys.count(k) > 1)
+        raise ValueError(f"dataset {text!r}: key {twice!r} is given twice ({takes})")
     if kind == "synth":
         try:
             return model_io.synth_dataset(

@@ -86,6 +86,8 @@ class TrainConfig:
     seed: int = 0
 
     def __post_init__(self):
+        for name in ("epochs", "batch_size", "seed"):
+            model_io.require_int(getattr(self, name), name)
         if self.epochs < 0:
             raise ValueError(f"epochs must be >= 0, got {self.epochs}")
         if self.batch_size < 1:

@@ -18,6 +18,7 @@ from __future__ import annotations
 import dataclasses
 import functools
 import json
+import numbers
 import types
 import typing
 import zlib
@@ -267,10 +268,6 @@ class DatasetHandle:
     def __len__(self) -> int:
         return len(self.labels)
 
-    def subset(self, indices) -> "DatasetHandle":
-        return DatasetHandle(self.images[indices], self.labels[indices],
-                             self.num_classes, self.split)
-
 
 def _read_idx_array(path) -> np.ndarray:
     data = Path(path).read_bytes()
@@ -371,7 +368,8 @@ def synth_dataset(seed: int, count: int, classes: int, dims=(1, 16, 16),
 # ---------------------------------------------------------------------------
 
 def load_config(path) -> dict[str, str]:
-    """Parse `key = value` lines; '#' starts a comment, blanks are skipped."""
+    """Parse `key = value` lines; '#' starts a comment, blanks are skipped,
+    and a key may appear once."""
     out: dict[str, str] = {}
     for lineno, raw in enumerate(Path(path).read_text().splitlines(), 1):
         line = raw.split("#", 1)[0].strip()
@@ -379,13 +377,17 @@ def load_config(path) -> dict[str, str]:
             continue
         if "=" not in line:
             raise FormatError(f"{path}:{lineno}: expected 'key = value', got {raw!r}")
-        key, value = line.split("=", 1)
-        out[key.strip()] = value.strip()
+        key, value = (part.strip() for part in line.split("=", 1))
+        if key in out:
+            raise FormatError(f"{path}:{lineno}: key {key!r} is given twice")
+        out[key] = value
     return out
 
 
-
-
+def require_int(value, what: str) -> None:
+    """Reject a setting that is not an integer, in one line naming it."""
+    if not isinstance(value, numbers.Integral):
+        raise ValueError(f"{what} must be an integer, got {value}")
 
 # ---------------------------------------------------------------------------
 # Records: trace, report and table formats, derived from their dataclasses

@@ -25,8 +25,6 @@ FLATTEN = "flatten"
 LINEAR = "linear"
 SOFTMAX_CE_HEAD = "softmax_ce_head"
 
-LAYER_KINDS = (CONV2D, RELU, MAXPOOL2D, FLATTEN, LINEAR, SOFTMAX_CE_HEAD)
-
 
 class ShapeError(ValueError):
     """A tensor dimension does not match the layer contract."""

@@ -1,9 +1,10 @@
 """Layer-by-layer channel pruning pipeline.
 
 For each prunable conv layer (every conv except the first), sampled feature
-probes from the uncompressed and the partially-compressed model are turned,
-chunk by chunk, into the rows of a weighted least-squares system over input
-channels, which is kept only as its small triangular factor; an l1
+probes of the partially-compressed model are turned, chunk by chunk, into
+the rows of a weighted least-squares system over input channels, which is
+kept only as its small triangular factor; the uncompressed responses the
+rows reconstruct come from the first stage's forwards.  An l1
 relaxation with a lambda search picks the kept set, and the surviving
 weights are refit by ordinary least squares before the dropped producers
 are physically removed from the previous conv.
@@ -43,7 +44,8 @@ class PruneConfig:
     conv is never prunable, so valid keys start at 2).  Alternatively
     `flops_target` resolves budgets as a uniform keep fraction across all
     prunable convs, rounded up per layer; setting both is an error, as are
-    a target that is not finite or below 1 and a negative seed.
+    a target that is not finite or below 1, a negative seed and a count,
+    budget or seed that is not an integer.
     """
 
     budgets: dict[int, int] | None = None
@@ -54,6 +56,10 @@ class PruneConfig:
     seed: int = 0
 
     def __post_init__(self):
+        for name in ("num_locations", "probe_images", "seed"):
+            model_io.require_int(getattr(self, name), name)
+        for ordinal, b in (self.budgets or {}).items():
+            model_io.require_int(b, f"budget for conv {ordinal}")
         if self.variant not in VARIANTS:
             raise ValueError(f"unknown variant {self.variant!r}; choose from {VARIANTS}")
         if self.num_locations < 1 or self.probe_images < 1:
@@ -143,12 +149,13 @@ class FeatureProbe(RefitTargets):
 
     All output-channel quantities are bias-free conv responses (the linear
     output, before the nonlinearity and with the layer bias subtracted), so
-    y0 over the uncompressed input decomposes exactly into the per-input-
-    channel contributions z.  Arrays are indexed [probe, out_channel] and
-    z is [probe, out_channel, in_channel]; `patches` holds the compressed
-    model's input receptive fields for the refit step.  `grad` is None when
-    the probe was taken without the loss gradient.  The rows' images and
-    locations are those of the `ProbeSample` the probe was taken on.
+    ystar decomposes exactly into the per-input-channel contributions z,
+    and so does y0 while the probed model is the uncompressed one.  Arrays
+    are indexed [probe, out_channel] and z is [probe, out_channel,
+    in_channel]; `patches` holds the probed model's input receptive fields
+    for the refit step.  `grad` is None when the probe was taken without
+    the loss gradient.  The rows' images and locations are those of the
+    `ProbeSample` the probe was taken on.
     """
 
     ystar: np.ndarray
@@ -165,76 +172,56 @@ def _at(output: np.ndarray, sample: ProbeSample) -> np.ndarray:
                   sample.cols].reshape(-1, output.shape[1])
 
 
-def extract_probes(uncompressed: model_io.Checkpoint, compressed: model_io.Checkpoint,
-                   layer_index: int, dataset: model_io.DatasetHandle,
-                   sample: ProbeSample, gradient: bool = True,
+def extract_probes(model: model_io.Checkpoint, dataset: model_io.DatasetHandle,
+                   layer_index: int, sample: ProbeSample, gradient: bool = True,
                    y0: np.ndarray | None = None,
                    table: dict[int, tuple[ProbeSample, np.ndarray]] | None = None
                    ) -> FeatureProbe:
-    """Probe records of the sampled images as one batch, rows in (image,
-    location) order.
+    """Probe records of the sampled images from one forward of `model`, rows
+    in (image, location) order.
 
     ystar, the loss gradient, the input patches (rows of the probed conv's
-    im2col matrix) and the contributions z come from the current compressed
-    model, with z evaluated against the uncompressed layer weights.  y0
-    comes from one of three places:
-    - `y0`, when given: the sample's uncompressed responses, already known
-      (a pruning stage after the first was handed them); no uncompressed
-      forward runs;
-    - with `table`, the compressed model is still the uncompressed one (the
-      first stage of a prune).  `table` maps each layer to write, the probed
-      one among them, to its sample of these images and its y0 rows; the
-      compressed forward runs to the deepest, writes them all and gives y0;
-    - otherwise a forward of the uncompressed model up to the probed layer.
-    With `gradient`, one activation-only backward runs, which stops at the
-    probed layer's output, the only gradient needed.  Mean cross-entropy is
-    a sum of per-image terms and no layer couples images, so the batch
-    gradient times the batch size is each image's own batch-size-1
-    gradient.  Without `gradient` the compressed forward stops as early as
-    it can, no backward runs and `grad` is None.  A pruning stage calls
-    this once per chunk of its sample.
+    im2col matrix) and the contributions z (against the probed layer's own
+    weights) all come from `model`.  y0 is `y0` when given, else ystar.
+    `table` maps layers to a sample of these images and the array their
+    bias-free response rows go to; the forward runs deep enough to write
+    them all.  With `gradient`, one activation-only backward stops at the
+    probed layer's output: mean cross-entropy is a sum of per-image terms
+    and no layer couples images, so the batch gradient times the batch size
+    is each image's own batch-size-1 gradient.  Without it the forward
+    stops as early as it can and `grad` is None.
     """
-    layer = compressed.spec.layers[layer_index]
+    layer = model.spec.layers[layer_index]
     if layer.kind != nn.CONV2D:
         raise ValueError(f"layer {layer_index} is {layer.kind}, not conv2d")
-    kh, kw = layer.kernel
-    c_in = layer.in_channels
-    c_out, ho, wo = compressed.spec.activation_dims()[layer_index]
+    (kh, kw), c_in = layer.kernel, layer.in_channels
+    c_out, ho, wo = model.spec.activation_dims()[layer_index]
     ids, rows, cols = sample.image_ids, sample.rows, sample.cols
     n, n_loc = rows.shape
-    batch = dataset.images[ids]
-    upto = max([layer_index, *(table or ())])
-    trace_c = nn.forward_collect(compressed.spec, compressed.params, batch,
-                                 upto=None if gradient else upto)
-    if table is not None:
-        for li, (s, out) in table.items():
-            out[...] = _at(trace_c.outputs[li], s) - uncompressed.params[li].bias
-        y0 = table[layer_index][1]
-    elif y0 is None:
-        trace_u = nn.forward_collect(uncompressed.spec, uncompressed.params, batch,
-                                     upto=layer_index)
-        b0 = uncompressed.params[layer_index].bias
-        y0 = _at(trace_u.outputs[layer_index], sample) - b0
+    upto = None if gradient else max([layer_index, *(table or ())])
+    trace = nn.forward_collect(model.spec, model.params, dataset.images[ids], upto=upto)
+    for li, (s, out) in (table or {}).items():
+        out[...] = _at(trace.outputs[li], s) - model.params[li].bias
     grad = None
     if gradient:
-        grads = nn.backward_collect(compressed.spec, compressed.params, trace_c,
+        grads = nn.backward_collect(model.spec, model.params, trace,
                                     dataset.labels[ids], stop=layer_index + 1,
                                     wrt_weights=False)
         grad = _at(grads.activations[layer_index], sample) * n
-    b_cur = compressed.params[layer_index].bias
-    ystar = _at(trace_c.outputs[layer_index], sample) - b_cur
+    ystar = _at(trace.outputs[layer_index], sample) - model.params[layer_index].bias
     # im2col rows run over (image, output row, output column).
-    patches = trace_c.cols[layer_index][(np.arange(n)[:, None] * ho + rows) * wo
-                                        + cols].reshape(-1, c_in, kh, kw)
-    # z[p, i, j] = <patches[p, j], w0[i, j]>: one GEMM per (input channel,
+    patches = trace.cols[layer_index][(np.arange(n)[:, None] * ho + rows) * wo
+                                      + cols].reshape(-1, c_in, kh, kw)
+    # z[p, i, j] = <patches[p, j], w[i, j]>: one GEMM per (input channel,
     # image), (n_loc, kh*kw) @ (kh*kw, c_out), broadcast over both axes.
     # Input channels are the outer axis in memory, so z is a view whose
     # rows of A, built from it, come out column-major as the fold wants.
-    w0 = uncompressed.params[layer_index].weights.reshape(c_out, c_in, kh * kw)
+    w = model.params[layer_index].weights.reshape(c_out, c_in, kh * kw)
     z = np.matmul(patches.reshape(n, n_loc, c_in, kh * kw).transpose(2, 0, 1, 3),
-                  w0.transpose(1, 2, 0)[:, None])
+                  w.transpose(1, 2, 0)[:, None])
     z = z.reshape(c_in, n * n_loc, c_out).transpose(1, 2, 0)
-    return FeatureProbe(y0=y0, patches=patches, ystar=ystar, grad=grad, z=z)
+    return FeatureProbe(y0=ystar if y0 is None else y0, patches=patches, ystar=ystar,
+                        grad=grad, z=z)
 
 
 def build_weighted_system(probe: FeatureProbe, variant: str) -> solvers.WeightedSystem:
@@ -442,13 +429,14 @@ def prune_model(uncompressed: model_io.Checkpoint, dataset: model_io.DatasetHand
     Convs are visited shallow to deep, skipping the first; after each stage
     the model is the pruned prefix, the freshly refit layer, and the
     untouched suffix.  Every stage probes the same images in the same
-    chunks (see `sample_probes`), and the first stage's model is still the
-    uncompressed one, so its chunk forwards write every stage's
-    uncompressed responses y0, allocated up front; no stage runs the
-    uncompressed model.  Each stage runs in its own function scope, so its
-    probes, selection system and refit are freed before the next stage
-    extracts probes.  Any stage failure raises with the traces so far
-    attached to the exception.
+    chunks (see `sample_probes`), and the first stage probes `uncompressed`
+    itself, so its chunk forwards write every stage's uncompressed
+    responses y0, allocated up front; no stage runs a second model.  Each
+    stage rewrites into fresh parameters, so `uncompressed` is never
+    modified; with no conv to prune it is returned as it is.  Each stage
+    runs in its own function scope, so its probes, selection system and
+    refit are freed before the next stage extracts probes.  Any stage
+    failure raises with the traces so far attached to the exception.
     """
     _check_conv_chain(uncompressed.spec)
     budgets = resolve_budgets(uncompressed.spec, config)
@@ -457,57 +445,63 @@ def prune_model(uncompressed: model_io.Checkpoint, dataset: model_io.DatasetHand
                                            config) for o in sorted(budgets)}
     stages = {li: (s, np.empty((s.rows.size, len(uncompressed.params[li].bias))))
               for li, s in samples.items()}
-    compressed = uncompressed.copy()
+    model = uncompressed
     traces: list[PruneTrace] = []
     for k, ordinal in enumerate(sorted(budgets)):
         li = convs[ordinal - 1]
         try:
-            compressed, trace = _prune_stage(
-                uncompressed, compressed, dataset, config, ordinal, budgets[ordinal],
-                *stages[li], fill=None if k else stages)
+            model, trace = _prune_stage(model, dataset, config, ordinal,
+                                        budgets[ordinal], *stages[li],
+                                        fill=None if k else stages)
         except Exception as exc:
             exc.prune_traces = traces
             raise
         del stages[li]
         traces.append(trace)
-    return compressed, traces
+    return model, traces
 
 
-def _prune_stage(uncompressed: model_io.Checkpoint, compressed: model_io.Checkpoint,
-                 dataset: model_io.DatasetHandle, config: PruneConfig, ordinal: int,
-                 budget: int, sample: ProbeSample, y0: np.ndarray,
-                 fill: dict[int, tuple[ProbeSample, np.ndarray]] | None
+def _prune_stage(model: model_io.Checkpoint, dataset: model_io.DatasetHandle,
+                 config: PruneConfig, ordinal: int, budget: int, sample: ProbeSample,
+                 y0: np.ndarray, fill: dict[int, tuple[ProbeSample, np.ndarray]] | None
                  ) -> tuple[model_io.Checkpoint, PruneTrace]:
-    """Probe, select, refit and rewrite one conv; returns the new model and
-    the stage's trace.
+    """Probe, select, refit and rewrite one conv of `model`; returns the new
+    model and the stage's trace.
 
     The sample's images are probed in chunks of `_PROBE_CHUNK`, with the
     loss gradient only for the `GRADIENT_VARIANTS`.  `y0` is the stage's
     refit targets' y0, [image and location, out_channel] in sample order.
-    At the first stage of a prune, `fill` maps every stage's layer to its
-    sample and y0, and each chunk's forward writes their rows; a later
-    stage's `y0` is already written.  Each chunk's patches are kept for the
-    refit, and its selection rows are folded into a `solvers.SystemStream`,
-    so the stage never holds the whole sample's z, ystar, gradients or
-    design matrix.  Earlier stages rewrote only convs before this one, so
-    its parameters are still the uncompressed ones.
+    At the first stage of a prune `model` is the uncompressed one, and
+    `fill` maps every stage's layer to its sample and y0, so each chunk's
+    forward writes their rows; a later stage's `y0` is already written.
+    Each chunk's patches are kept for the refit, and its selection rows are
+    folded into a `solvers.SystemStream`; everything else the chunk made
+    (forward trace, gradients, z, its rows of A) is freed before the next
+    chunk's forward, so the stage never holds the whole sample's z, ystar,
+    gradients or design matrix.  Earlier stages rewrote only convs before
+    this one, so its weights are still the uncompressed ones.
     """
-    li = uncompressed.spec.conv_indices()[ordinal - 1]
-    layer = compressed.spec.layers[li]
+    li = model.spec.conv_indices()[ordinal - 1]
+    layer = model.spec.layers[li]
     n_loc = sample.rows.shape[1]
     targets = RefitTargets(y0=y0, patches=np.empty((len(y0), layer.in_channels,
                                                     *layer.kernel)))
     stream = None if config.variant == VARIANT_MAGNITUDE else solvers.SystemStream()
     for start in range(0, len(sample), _PROBE_CHUNK):
         stop = start + _PROBE_CHUNK
+        at = slice(start * n_loc, stop * n_loc)
         table = None if fill is None else {
             lj: (s.chunk(start, stop), rows[start * s.rows.shape[1]:
                                             stop * s.rows.shape[1]])
             for lj, (s, rows) in fill.items()}
-        _probe_chunk(uncompressed, compressed, li, dataset, config,
-                     sample.chunk(start, stop), targets,
-                     slice(start * n_loc, stop * n_loc), stream, table)
-    cur = compressed.params[li]
+        probe = extract_probes(model, dataset, li, sample.chunk(start, stop),
+                               gradient=config.variant in GRADIENT_VARIANTS,
+                               y0=y0[at] if fill is None else None, table=table)
+        targets.patches[at] = probe.patches
+        if stream is not None:
+            stream.add(build_weighted_system(probe, config.variant))
+        del probe
+    cur = model.params[li]
     if stream is None:
         support = magnitude_select(cur.weights, budget)
         lam, warn, converged = None, False, True
@@ -521,7 +515,7 @@ def _prune_stage(uncompressed: model_io.Checkpoint, compressed: model_io.Checkpo
         converged = sel.converged
     refit = refit_layer(targets, support, cur)
     sup = np.asarray(support, dtype=np.int64)
-    return _rewrite(compressed, ordinal, sup, refit.weights, refit.bias), PruneTrace(
+    return _rewrite(model, ordinal, sup, refit.weights, refit.bias), PruneTrace(
         layer_index=li, conv_ordinal=ordinal, variant=config.variant,
         budget=budget, lambda_final=lam, support=tuple(support),
         residual_before=refit.residual_before,
@@ -530,24 +524,6 @@ def _prune_stage(uncompressed: model_io.Checkpoint, compressed: model_io.Checkpo
         normal_residual=refit.normal_residual,
         weight_norm=refit.weight_norm, rhs_scale=refit.rhs_scale,
         converged=converged)
-
-
-def _probe_chunk(uncompressed: model_io.Checkpoint, compressed: model_io.Checkpoint,
-                 layer_index: int, dataset: model_io.DatasetHandle, config: PruneConfig,
-                 chunk: ProbeSample, targets: RefitTargets, at: slice,
-                 stream: solvers.SystemStream | None,
-                 table: dict[int, tuple[ProbeSample, np.ndarray]] | None) -> None:
-    """Probe one chunk: its patches go to `targets[at]` and its selection
-    rows into `stream`; with `table`, every stage's y0 rows of the chunk
-    are written.  Everything else the chunk made (forward traces,
-    gradients, z, its rows of A) is freed before the next chunk's forwards."""
-    probe = extract_probes(uncompressed, compressed, layer_index, dataset, chunk,
-                           gradient=config.variant in GRADIENT_VARIANTS,
-                           y0=None if table is not None else targets.y0[at],
-                           table=table)
-    targets.patches[at] = probe.patches
-    if stream is not None:
-        stream.add(build_weighted_system(probe, config.variant))
 
 
 # ---------------------------------------------------------------------------

@@ -293,67 +293,56 @@ def sample_probes_loop(spec, layer_index, dataset, config):
                               exhaustive=ho * wo < config.num_locations)
 
 
-def extract_probes_loop(uncompressed, compressed, layer_index, dataset, sample,
-                        gradient=True, y0=None, table=None):
+def extract_probes_loop(model, dataset, layer_index, sample, gradient=True, y0=None,
+                        table=None):
     """`pruner.extract_probes` with one batch-size-1 backward per probe image.
 
-    The forwards run over the sample's images as one batch, as the
-    library's do; each image's gradient comes from its own full backward
+    The forward runs over the sample's images as one batch, as the
+    library's does; each image's gradient comes from its own full backward
     pass (none without `gradient`, and `grad` is None), each receptive
     field from an explicit slice, and each image's z from one matmul per
     input channel, (locations, kh*kw) @ (kh*kw, c_out).  `y0` and `table`
     mean what they mean to the library: given rows are returned as they
-    are, and each layer of a table gets its rows from the compressed
-    forward, one image at a time; y0 is then the probed layer's rows.
+    are, otherwise y0 is ystar, and each layer of a table gets its rows
+    from the forward, one image at a time.
     """
-    layer = compressed.spec.layers[layer_index]
+    layer = model.spec.layers[layer_index]
     kh, kw = layer.kernel
-    _, ho, wo = compressed.spec.activation_dims()[layer_index]
     pad, stride = layer.padding, layer.stride
-
-    w0 = uncompressed.params[layer_index].weights
-    c_out, c_in = w0.shape[:2]
-    w0_taps = w0.reshape(c_out, c_in, kh * kw).transpose(1, 2, 0)
-    b0 = uncompressed.params[layer_index].bias
-    b_cur = compressed.params[layer_index].bias
+    w = model.params[layer_index].weights
+    c_out, c_in = w.shape[:2]
+    w_taps = w.reshape(c_out, c_in, kh * kw).transpose(1, 2, 0)
+    bias = model.params[layer_index].bias
     ystar, grad, z, patches = ([] for _ in range(4))
     ids = sample.image_ids
-    trace_c = nn.forward_collect(compressed.spec, compressed.params,
-                                 dataset.images[ids])
-    if table is not None:
-        for li, (at, out) in table.items():
-            out[...] = np.concatenate(
-                [trace_c.outputs[li][k][:, at.rows[k], at.cols[k]].T
-                 - uncompressed.params[li].bias for k in range(len(ids))])
-        y0 = table[layer_index][1]
-    elif y0 is None:
-        trace_u = nn.forward_collect(uncompressed.spec, uncompressed.params,
-                                     dataset.images[ids])
-    y0_rows = []
+    trace = nn.forward_collect(model.spec, model.params, dataset.images[ids])
+    for li, (at, out) in (table or {}).items():
+        out[...] = np.concatenate(
+            [trace.outputs[li][k][:, at.rows[k], at.cols[k]].T
+             - model.params[li].bias for k in range(len(ids))])
     for k, image in enumerate(ids):
         rr, cc = sample.rows[k], sample.cols[k]
         if gradient:
             # im2col rows run over (image, output row, output column).
             single = nn.ForwardTrace(
-                x=trace_c.x[k:k + 1], outputs=[o[k:k + 1] for o in trace_c.outputs],
-                logits=trace_c.logits[k:k + 1],
+                x=trace.x[k:k + 1], outputs=[o[k:k + 1] for o in trace.outputs],
+                logits=trace.logits[k:k + 1],
                 cols={i: c.reshape(len(ids), -1, c.shape[1])[k]
-                      for i, c in trace_c.cols.items()})
-            grads = nn.backward_collect(compressed.spec, compressed.params, single,
+                      for i, c in trace.cols.items()})
+            grads = nn.backward_collect(model.spec, model.params, single,
                                         dataset.labels[image:image + 1])
             grad.append(grads.activations[layer_index][0][:, rr, cc].T)
-        x_in = trace_c.outputs[layer_index - 1][k] if layer_index else trace_c.x[k]
+        x_in = trace.outputs[layer_index - 1][k] if layer_index else trace.x[k]
         x_in = np.pad(x_in, ((0, 0), (pad, pad), (pad, pad)))
         pat = np.array([x_in[:, r * stride:r * stride + kh, c * stride:c * stride + kw]
                         for r, c in zip(rr, cc)])
-        if y0 is None:
-            y0_rows.append(trace_u.outputs[layer_index][k][:, rr, cc].T - b0)
-        ystar.append(trace_c.outputs[layer_index][k][:, rr, cc].T - b_cur)
+        ystar.append(trace.outputs[layer_index][k][:, rr, cc].T - bias)
         patches.append(pat)
         taps = pat.reshape(len(rr), c_in, kh * kw).transpose(1, 0, 2)
-        z.append(np.matmul(taps, w0_taps).transpose(1, 2, 0))
+        z.append(np.matmul(taps, w_taps).transpose(1, 2, 0))
+    ystar = np.concatenate(ystar)
     return pruner.FeatureProbe(
-        y0=np.concatenate(y0_rows) if y0 is None else y0, ystar=np.concatenate(ystar),
+        y0=ystar if y0 is None else y0, ystar=ystar,
         grad=np.concatenate(grad) if gradient else None, z=np.concatenate(z),
         patches=np.concatenate(patches))
 

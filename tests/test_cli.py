@@ -218,6 +218,12 @@ class TestConfigFilesFailLoudly:
         return run(["train", "--data", DATA, "--out", str(tmp_path / "m.ckpt"),
                     "--config", str(cfg)] + FAST_TRAIN[:2])
 
+    def test_repeated_key(self, tmp_path, capsys):
+        assert self.train_with_config(tmp_path, "lr = 0.05\nlr = 0.1\n") == 1
+        assert capsys.readouterr().err == (
+            f"error: {tmp_path / 'train.cfg'}:2: key 'lr' is given twice\n")
+        assert not (tmp_path / "m.ckpt").exists()
+
     def test_unknown_key(self, tmp_path, capsys):
         assert self.train_with_config(tmp_path, "epoch = 1\n") == 1
         err = capsys.readouterr().err
@@ -261,6 +267,14 @@ class TestDatasetDescriptorsFailLoudly:
             cli.parse_dataset(text)
         message = str(excinfo.value)
         assert "\n" not in message and token in message and keys in message
+
+    def test_repeated_key(self, tmp_path, capsys):
+        assert run(["train", "--data", "synth:count=8,count=9",
+                    "--out", str(tmp_path / "m.ckpt"), "--epochs", "0"]) == 1
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        assert "dataset 'synth:count=8,count=9': key 'count' is given twice" in err
+        assert not (tmp_path / "m.ckpt").exists()
 
     def test_cli_exit_code(self, tmp_path, capsys):
         code = run(["train", "--data", "synth:count=20,clases=4",

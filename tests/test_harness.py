@@ -67,6 +67,15 @@ class TestFlopsCount:
 
 
 class TestTrain:
+    @pytest.mark.parametrize("kwargs, want", [
+        (dict(epochs=1.5), "epochs must be an integer, got 1.5"),
+        (dict(batch_size=8.5), "batch_size must be an integer, got 8.5"),
+        (dict(seed=1.5), "seed must be an integer, got 1.5")])
+    def test_non_integer_settings_rejected(self, kwargs, want):
+        with pytest.raises(ValueError) as err:
+            harness.TrainConfig(**kwargs)
+        assert str(err.value) == want
+
     def test_fixed_seed_reproducible(self, spec, train_data):
         cfg = harness.TrainConfig(epochs=1, batch_size=32, lr=0.05, seed=9)
         a = harness.train(spec, train_data, cfg)

@@ -379,6 +379,13 @@ class TestConfigFiles:
         path.write_text("# a comment\n\nseed = 3  # trailing\n")
         assert model_io.load_config(path) == {"seed": "3"}
 
+    def test_repeated_key(self, tmp_path):
+        path = tmp_path / "run.cfg"
+        path.write_text("lr = 0.1\nseed = 3\nlr = 0.2\n")
+        with pytest.raises(model_io.FormatError) as err:
+            model_io.load_config(path)
+        assert str(err.value) == f"{path}:3: key 'lr' is given twice"
+
     def test_malformed_line(self, tmp_path):
         path = tmp_path / "run.cfg"
         path.write_text("seed\n")

@@ -43,10 +43,10 @@ def quick_config(**kw):
     return pruner.PruneConfig(**base)
 
 
-def probe_all(uncompressed, compressed, li, dataset, cfg):
+def probe_all(model, li, dataset, cfg):
     """The whole probe sample of conv `li` as one batch."""
-    sample = pruner.sample_probes(compressed.spec, li, dataset, cfg)
-    return pruner.extract_probes(uncompressed, compressed, li, dataset, sample)
+    sample = pruner.sample_probes(model.spec, li, dataset, cfg)
+    return pruner.extract_probes(model, dataset, li, sample)
 
 
 class TestPruneConfig:
@@ -64,6 +64,16 @@ class TestPruneConfig:
             pruner.PruneConfig(**kwargs)
         assert str(err.value) == want
 
+    @pytest.mark.parametrize("kwargs, want", [
+        (dict(budgets={2: 2.5}), "budget for conv 2 must be an integer, got 2.5"),
+        (dict(probe_images=10.5), "probe_images must be an integer, got 10.5"),
+        (dict(num_locations=2.5), "num_locations must be an integer, got 2.5"),
+        (dict(seed=1.5), "seed must be an integer, got 1.5")])
+    def test_non_integer_settings_rejected(self, kwargs, want):
+        with pytest.raises(ValueError) as err:
+            pruner.PruneConfig(**kwargs)
+        assert str(err.value) == want
+
     def test_budget_keys_validated(self, trained):
         cfg = pruner.PruneConfig(budgets={1: 3})
         with pytest.raises(ValueError, match="first conv is never pruned"):
@@ -75,16 +85,22 @@ class TestPruneConfig:
 
 class TestExtractProbes:
     def test_identical_models_ystar_equals_y0(self, trained, synth_data):
+        # Unless handed another model's rows, y0 is the probed model's ystar.
         li = trained.spec.conv_indices()[1]
-        probe = probe_all(trained, trained.copy(), li, synth_data, quick_config())
-        np.testing.assert_allclose(probe.ystar, probe.y0, atol=1e-12)
+        sample = pruner.sample_probes(trained.spec, li, synth_data, quick_config())
+        probe = pruner.extract_probes(trained, synth_data, li, sample)
+        assert probe.y0.tobytes() == probe.ystar.tobytes()
+        given = np.zeros_like(probe.y0)
+        handed = pruner.extract_probes(trained, synth_data, li, sample, y0=given)
+        assert handed.y0 is given
+        assert handed.ystar.tobytes() == probe.ystar.tobytes()
 
     def test_exhaustive_sampling_covers_every_location(self, trained, synth_data):
         li = trained.spec.conv_indices()[2]  # 3x3 map after two pools
         _, ho, wo = trained.spec.activation_dims()[li]
         cfg = quick_config(probe_images=3, num_locations=ho * wo)
         sample = pruner.sample_probes(trained.spec, li, synth_data, cfg)
-        probe = pruner.extract_probes(trained, trained.copy(), li, synth_data, sample)
+        probe = pruner.extract_probes(trained, synth_data, li, sample)
         assert not sample.exhaustive  # map size == requested count, nothing missing
         assert probe.y0.shape[0] == 3 * ho * wo
         for img in range(3):
@@ -96,7 +112,7 @@ class TestExtractProbes:
         _, ho, wo = trained.spec.activation_dims()[li]
         cfg = quick_config(probe_images=2, num_locations=ho * wo + 5)
         sample = pruner.sample_probes(trained.spec, li, synth_data, cfg)
-        probe = pruner.extract_probes(trained, trained.copy(), li, synth_data, sample)
+        probe = pruner.extract_probes(trained, synth_data, li, sample)
         assert sample.exhaustive
         assert probe.y0.shape[0] == 2 * ho * wo
 
@@ -105,7 +121,7 @@ class TestExtractProbes:
         layer = trained.spec.layers[li]
         cfg = quick_config(probe_images=4)
         sample = pruner.sample_probes(trained.spec, li, synth_data, cfg)
-        probe = pruner.extract_probes(trained, trained.copy(), li, synth_data, sample)
+        probe = pruner.extract_probes(trained, synth_data, li, sample)
 
         w0 = trained.params[li].weights
         trace = nn.forward_collect(trained.spec, trained.params,
@@ -133,7 +149,7 @@ class TestExtractProbes:
 
     def test_rejects_non_conv_layer(self, trained, synth_data):
         with pytest.raises(ValueError, match="not conv2d"):
-            probe_all(trained, trained.copy(), 1, synth_data, quick_config())
+            probe_all(trained, 1, synth_data, quick_config())
 
     @pytest.mark.parametrize("num_locations", [1, 5])
     @pytest.mark.parametrize("c_out", [1, 5])
@@ -146,11 +162,10 @@ class TestExtractProbes:
              nn.conv2d(4, c_out, 3, padding=1), nn.relu(), nn.flatten(),
              nn.linear(c_out * 6 * 6, 10), nn.softmax_ce_head()),
             (1, 12, 12), 10)
-        uncompressed = model_io.Checkpoint(spec, nn.init_params(spec, 0))
-        compressed = model_io.Checkpoint(spec, nn.init_params(spec, 1))
+        model = model_io.Checkpoint(spec, nn.init_params(spec, 0))
         cfg = quick_config(probe_images=20, num_locations=num_locations)
-        probe = assert_matches_loop(uncompressed, compressed, 3, synth_data, cfg)
-        w0 = uncompressed.params[3].weights
+        probe = assert_matches_loop(model, 3, synth_data, cfg)
+        w0 = model.params[3].weights
         want = np.einsum("pjuv,ijuv->pij", probe.patches, w0)
         scale = np.einsum("pjuv,ijuv->pij", np.abs(probe.patches), np.abs(w0))
         assert probe.z.shape == (20 * num_locations, c_out, 4)
@@ -164,8 +179,7 @@ def strided_net():
          nn.conv2d(5, 6, 3, padding=1), nn.relu(), nn.flatten(),
          nn.linear(6 * 4 * 4, 10), nn.softmax_ce_head()),
         (1, 12, 12), 10)
-    return (model_io.Checkpoint(spec, nn.init_params(spec, 0)),
-            model_io.Checkpoint(spec, nn.init_params(spec, 1)))
+    return model_io.Checkpoint(spec, nn.init_params(spec, 0))
 
 
 def assert_probes_match(got, want):
@@ -179,19 +193,17 @@ def assert_probes_match(got, want):
         np.testing.assert_allclose(got.grad, want.grad, rtol=1e-12, atol=0)
 
 
-def assert_matches_loop(uncompressed, compressed, li, dataset, cfg, start=0, stop=None,
-                        gradient=True):
+def assert_matches_loop(model, li, dataset, cfg, start=0, stop=None, gradient=True):
     """The library's sample equals the one-image-at-a-time draws, and its
     probe of images start..stop-1 equals the per-image loop's."""
-    sample = pruner.sample_probes(compressed.spec, li, dataset, cfg)
-    want = sample_probes_loop(compressed.spec, li, dataset, cfg)
+    sample = pruner.sample_probes(model.spec, li, dataset, cfg)
+    want = sample_probes_loop(model.spec, li, dataset, cfg)
     for name in ("image_ids", "rows", "cols"):
         assert getattr(sample, name).tobytes() == getattr(want, name).tobytes(), name
     assert sample.exhaustive == want.exhaustive
     chunk = sample.chunk(start, len(sample) if stop is None else stop)
-    got = pruner.extract_probes(uncompressed, compressed, li, dataset, chunk, gradient)
-    assert_probes_match(got, extract_probes_loop(uncompressed, compressed, li,
-                                                 dataset, chunk, gradient))
+    got = pruner.extract_probes(model, dataset, li, chunk, gradient)
+    assert_probes_match(got, extract_probes_loop(model, dataset, li, chunk, gradient))
     return got
 
 
@@ -202,20 +214,20 @@ class TestExtractProbesMatchesLoop:
         compressed, _ = pruner.prune_model(trained, synth_data,
                                            quick_config(budgets={2: 3}))
         li = trained.spec.conv_indices()[2]
-        assert_matches_loop(trained, compressed, li, synth_data, quick_config())
+        assert_matches_loop(compressed, li, synth_data, quick_config())
 
     def test_without_the_gradient(self, trained, synth_data):
         compressed, _ = pruner.prune_model(trained, synth_data,
                                            quick_config(budgets={2: 3}))
         li = trained.spec.conv_indices()[2]
-        probe = assert_matches_loop(trained, compressed, li, synth_data, quick_config(),
+        probe = assert_matches_loop(compressed, li, synth_data, quick_config(),
                                     gradient=False)
         assert probe.grad is None
 
     def test_exhaustive_locations(self, trained, synth_data):
         li = trained.spec.conv_indices()[3]  # 3x3 map
         cfg = quick_config(num_locations=12)
-        probe = assert_matches_loop(trained, trained.copy(), li, synth_data, cfg)
+        probe = assert_matches_loop(trained, li, synth_data, cfg)
         assert pruner.sample_probes(trained.spec, li, synth_data, cfg).exhaustive
         assert probe.y0.shape[0] == 48 * 9
 
@@ -225,8 +237,7 @@ class TestExtractProbesMatchesLoop:
         li = trained.spec.conv_indices()[1]
         cfg = quick_config(probe_images=70, num_locations=3, seed=4)
         assert pruner._PROBE_CHUNK == 16
-        probe = assert_matches_loop(trained, trained.copy(), li, synth_data, cfg,
-                                    start=64, stop=70)
+        probe = assert_matches_loop(trained, li, synth_data, cfg, start=64, stop=70)
         assert probe.y0.shape[0] == 6 * 3
 
     def test_stage_assembles_refit_targets_across_chunks(self, trained, synth_data,
@@ -241,7 +252,7 @@ class TestExtractProbesMatchesLoop:
                             lambda targets, *a, **k: seen.append(targets)
                             or refit(targets, *a, **k))
         pruner.prune_model(trained, synth_data, cfg)
-        want = probe_all(trained, trained.copy(), li, synth_data, cfg)
+        want = probe_all(trained, li, synth_data, cfg)
         (got,) = seen
         for name in ("y0", "patches"):
             a, b = getattr(got, name), getattr(want, name)
@@ -249,9 +260,8 @@ class TestExtractProbesMatchesLoop:
 
     @pytest.mark.parametrize("li", [2, 4])
     def test_unpadded_and_strided_convs(self, synth_data, li):
-        uncompressed, compressed = strided_net()
         cfg = quick_config(probe_images=20, num_locations=5)
-        assert_matches_loop(uncompressed, compressed, li, synth_data, cfg)
+        assert_matches_loop(strided_net(), li, synth_data, cfg)
 
 
 def hand_probe():
@@ -322,7 +332,7 @@ class TestBuildWeightedSystem:
         # SystemStream copies A into LAPACK's column-major buffer; from a
         # column-major A that is one contiguous copy per column.
         li = trained.spec.conv_indices()[1]
-        probe = probe_all(trained, trained.copy(), li, synth_data, quick_config())
+        probe = probe_all(trained, li, synth_data, quick_config())
         assert pruner.build_weighted_system(probe, variant).a.flags.f_contiguous
 
     def test_magnitude_variant_rejected(self):
@@ -386,7 +396,7 @@ class TestRefitLayer:
         li = trained.spec.conv_indices()[1]
         _, ho, wo = trained.spec.activation_dims()[li]
         cfg = quick_config(probe_images=48, num_locations=ho * wo)
-        probe = probe_all(trained, trained.copy(), li, synth_data, cfg)
+        probe = probe_all(trained, li, synth_data, cfg)
         c_in = trained.spec.layers[li].in_channels
         out = pruner.refit_layer(probe, range(c_in), trained.params[li])
         pmat = probe.patches.reshape(probe.patches.shape[0], -1)
@@ -406,7 +416,7 @@ class TestRefitLayer:
         li = spec.conv_indices()[1]
         _, ho, wo = spec.activation_dims()[li]
         cfg = quick_config(probe_images=48, num_locations=ho * wo)
-        probe = probe_all(ckpt, ckpt.copy(), li, synth_data, cfg)
+        probe = probe_all(ckpt, li, synth_data, cfg)
         c_in = spec.layers[li].in_channels
         out = pruner.refit_layer(probe, range(c_in), ckpt.params[li])
         np.testing.assert_allclose(out.weights, ckpt.params[li].weights, atol=1e-8)
@@ -414,7 +424,7 @@ class TestRefitLayer:
 
     def test_empty_support_rejected(self, trained, synth_data):
         li = trained.spec.conv_indices()[1]
-        probe = probe_all(trained, trained.copy(), li, synth_data, quick_config())
+        probe = probe_all(trained, li, synth_data, quick_config())
         with pytest.raises(ValueError, match="at least one channel"):
             pruner.refit_layer(probe, [], trained.params[li])
 
@@ -423,8 +433,7 @@ class TestRefitLayer:
         rng = np.random.default_rng(seed)
         li = trained.spec.conv_indices()[1]
         c_in = trained.spec.layers[li].in_channels
-        probe = probe_all(trained, trained.copy(), li, synth_data,
-                                      quick_config(seed=seed))
+        probe = probe_all(trained, li, synth_data, quick_config(seed=seed))
         support = sorted(rng.choice(c_in, size=c_in // 2, replace=False).tolist())
         out = pruner.refit_layer(probe, support, trained.params[li])
         assert out.residual_after <= out.residual_before + 1e-12
@@ -433,7 +442,7 @@ class TestRefitLayer:
     def test_residual_before_is_the_zero_fill_of_the_dropped_channels(self, trained,
                                                                       synth_data):
         li = trained.spec.conv_indices()[2]
-        probe = probe_all(trained, trained.copy(), li, synth_data, quick_config())
+        probe = probe_all(trained, li, synth_data, quick_config())
         support = [0, 3, 5]
         out = pruner.refit_layer(probe, support, trained.params[li])
         kept = probe.z[:, :, support].sum(axis=2)
@@ -441,14 +450,14 @@ class TestRefitLayer:
             float(((probe.y0 - kept) ** 2).sum()), rel=1e-12)
 
 
-def stream_system(uncompressed, compressed, li, dataset, cfg):
+def stream_system(model, li, dataset, cfg):
     """The selection system of conv `li` streamed chunk by chunk, as a pruning
     stage builds it."""
-    sample = pruner.sample_probes(compressed.spec, li, dataset, cfg)
+    sample = pruner.sample_probes(model.spec, li, dataset, cfg)
     stream = solvers.SystemStream()
     for start in range(0, len(sample), pruner._PROBE_CHUNK):
         chunk = sample.chunk(start, start + pruner._PROBE_CHUNK)
-        probe = pruner.extract_probes(uncompressed, compressed, li, dataset, chunk)
+        probe = pruner.extract_probes(model, dataset, li, chunk)
         stream.add(pruner.build_weighted_system(probe, cfg.variant))
     return stream.system()
 
@@ -464,8 +473,8 @@ class TestStreamedSelection:
         # 40 images: chunks of 16, 16 and 8 against one 40-image probe.
         li = trained.spec.conv_indices()[ordinal - 1]
         cfg = quick_config(probe_images=40, variant=variant)
-        streamed = stream_system(trained, trained.copy(), li, synth_data, cfg)
-        probe = probe_all(trained, trained.copy(), li, synth_data, cfg)
+        streamed = stream_system(trained, li, synth_data, cfg)
+        probe = probe_all(trained, li, synth_data, cfg)
         dense = solvers.WeightedSystem(*dense_weighted_system(probe, variant))
         assert streamed.rows <= streamed.cols + 1 < dense.rows
         for budget in range(1, dense.cols):
@@ -487,7 +496,7 @@ class TestStreamedSelection:
         w2 = twin.params[li].weights.copy()
         w2[:, 4] = w2[:, 1]
         twin.params[li] = nn.LayerParams(w2, twin.params[li].bias)
-        system = stream_system(twin, twin.copy(), li, synth_data, quick_config())
+        system = stream_system(twin, li, synth_data, quick_config())
         assert system.first_copy.tolist() == [0, 1, 2, 3, 1, 5]
         for budget in range(1, 6):
             res = solvers.lambda_search(system, budget)
@@ -501,7 +510,7 @@ class TestStreamedSelection:
         w[2], b[2] = 0.0, -1.0
         dead.params[0] = nn.LayerParams(w, b)
         li = trained.spec.conv_indices()[1]
-        system = stream_system(dead, dead.copy(), li, synth_data, quick_config())
+        system = stream_system(dead, li, synth_data, quick_config())
         assert not system.a[:, 2].any() and system.col_sq_norms[2] == 0.0
         assert system.a[:, [0, 1, 3, 4, 5]].any(axis=0).all()
         for budget in range(1, 6):
@@ -574,6 +583,21 @@ class TestPruneModel:
             if p is not None:
                 assert p.weights.tobytes() == q.weights.tobytes()
 
+    @pytest.mark.parametrize("variant", ["cpli", "magnitude"])
+    def test_input_is_left_as_it_was(self, trained, synth_data, variant):
+        # The first stage probes the input itself; every stage writes fresh
+        # parameters and none is a view of the input's.
+        before = [(p.weights.tobytes(), p.bias.tobytes())
+                  for p in trained.params if p is not None]
+        pruned, _ = pruner.prune_model(trained, synth_data,
+                                       quick_config(flops_target=2.0, variant=variant))
+        assert [(p.weights.tobytes(), p.bias.tobytes())
+                for p in trained.params if p is not None] == before
+        theirs = [a for p in trained.params if p is not None for a in (p.weights, p.bias)]
+        ours = [a for p in pruned.params if p is not None for a in (p.weights, p.bias)]
+        assert len(ours) == len(theirs)
+        assert not any(np.shares_memory(a, b) for a in ours for b in theirs)
+
     def test_same_supports_as_per_image_probes(self, trained, synth_data,
                                                monkeypatch):
         cfg = quick_config(flops_target=2.0)
@@ -640,21 +664,23 @@ class TestPruneModel:
     def test_probe_work_per_chunk(self, trained, synth_data, monkeypatch, variant):
         # 40 probe images are chunks of 16, 16 and 8 at each of two convs.
         # Only the variants that read the gradient run a backward, and it
-        # computes no weight gradient; the others' compressed forward stops
-        # as early as it can.  Both stages probe the same images in the same
-        # chunks, and conv 2's stage probes a model that is still the
-        # uncompressed one, so its forwards reach conv 3 and write conv 3's
-        # y0 rows as well: the uncompressed model never runs.
+        # computes no weight gradient; the others' forward stops as early as
+        # it can.  Both stages probe the same images in the same chunks.
+        # Conv 2's stage probes the input itself, so its forwards reach
+        # conv 3 and write conv 3's y0 rows as well; conv 3's stage probes
+        # the model conv 2's stage wrote.
         real_forward, real_backward = nn.forward_collect, nn.backward_collect
+        rewritten = record_rewrites(monkeypatch)
         calls = []
 
         def forward(spec, params, x, upto=None):
-            calls.append(("forward", "u" if params is trained.params else "c", upto))
+            calls.append(("forward", params, upto))
             return real_forward(spec, params, x, upto=upto)
 
-        def backward(*args, **kwargs):
-            calls.append(("backward", kwargs.get("stop"), kwargs.get("wrt_weights")))
-            return real_backward(*args, **kwargs)
+        def backward(spec, params, *args, **kwargs):
+            calls.append(("backward", params, kwargs.get("stop"),
+                          kwargs.get("wrt_weights")))
+            return real_backward(spec, params, *args, **kwargs)
 
         monkeypatch.setattr(nn, "forward_collect", forward)
         monkeypatch.setattr(nn, "backward_collect", backward)
@@ -664,12 +690,13 @@ class TestPruneModel:
         assert reads_grad == (variant in pruner.GRADIENT_VARIANTS)
         c2, c3 = trained.spec.conv_indices()[1:3]
         want = []
-        for li in (c2, c3):
-            chunk = [("forward", "c", None if reads_grad else c3)]
+        for stage, li in enumerate((c2, c3)):
+            chunk = [("forward", stage, None if reads_grad else c3)]
             if reads_grad:
-                chunk.append(("backward", li + 1, False))
+                chunk.append(("backward", stage, li + 1, False))
             want += chunk * 3
-        assert calls == want
+        assert [(kind, model_number(params, trained, rewritten), *rest)
+                for kind, params, *rest in calls] == want
 
     def test_stage_failure_carries_traces_so_far(self, trained, synth_data,
                                                  monkeypatch):
@@ -724,13 +751,27 @@ def record_targets(monkeypatch):
     return targets
 
 
+def record_rewrites(monkeypatch):
+    """Every model a prune's stages write, in stage order."""
+    models = []
+    rewrite = pruner._rewrite
+    monkeypatch.setattr(pruner, "_rewrite", lambda *a: models.append(rewrite(*a))
+                        or models[-1])
+    return models
+
+
+def model_number(params, start, rewritten):
+    """0 for `start`'s own parameters, k for those stage k wrote."""
+    return [params is m.params for m in (start, *rewritten)].index(True)
+
+
 def own_chunks_y0(ckpt, li, dataset, cfg):
-    """Conv `li`'s y0 rows from an uncompressed forward over each of its
-    stage's own chunks."""
+    """Conv `li`'s y0 rows from a probe of the uncompressed model over each
+    of its stage's own chunks."""
     sample = pruner.sample_probes(ckpt.spec, li, dataset, cfg)
     step = pruner._PROBE_CHUNK
     return np.concatenate([
-        pruner.extract_probes(ckpt, ckpt, li, dataset, sample.chunk(s, s + step),
+        pruner.extract_probes(ckpt, dataset, li, sample.chunk(s, s + step),
                               gradient=False).y0 for s in range(0, len(sample), step)])
 
 
@@ -780,16 +821,20 @@ class TestSharedSample:
     def test_no_uncompressed_forward(self, trained, synth_data, monkeypatch,
                                      settings, ordinals):
         targets = record_targets(monkeypatch)
+        rewritten = record_rewrites(monkeypatch)
         models = []
         real = nn.forward_collect
         monkeypatch.setattr(nn, "forward_collect", lambda spec, params, *a, **k:
-                            models.append(params is trained.params)
-                            or real(spec, params, *a, **k))
+                            models.append(params) or real(spec, params, *a, **k))
         cfg = quick_config(**settings)
-        _, traces = pruner.prune_model(trained, synth_data, cfg)
+        pruned, traces = pruner.prune_model(trained, synth_data, cfg)
         assert [t.conv_ordinal for t in traces] == ordinals
-        # Three 16-image chunks per stage, each one compressed forward.
-        assert models == [False] * 3 * len(ordinals)
+        assert pruned is rewritten[-1]
+        # Three 16-image chunks per stage, each one forward: the first
+        # stage's on the input itself, each later stage's on the model the
+        # stage before it wrote.
+        assert [model_number(p, trained, rewritten) for p in models] == [
+            stage for stage in range(len(ordinals)) for _ in range(3)]
         convs = trained.spec.conv_indices()
         for ordinal, got in zip(ordinals, targets):
             want = own_chunks_y0(trained, convs[ordinal - 1], synth_data, cfg)
