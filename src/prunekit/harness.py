@@ -1,4 +1,5 @@
-"""Training, evaluation, FLOPs accounting, and the experiment runner.
+"""Training, evaluation, compression reports (FLOPs from `nn.flops_count`),
+and the experiment runner.
 
 Everything here is seed-deterministic: rerunning any entry point with the
 same inputs produces bit-identical checkpoints and byte-identical report
@@ -7,6 +8,7 @@ files.  Wall-clock timings are collected in memory but never serialized.
 
 from __future__ import annotations
 
+import numbers
 import time
 from dataclasses import dataclass, field, replace
 from pathlib import Path
@@ -14,37 +16,7 @@ from pathlib import Path
 import numpy as np
 
 from . import model_io, nn, pruner
-
-
-# ---------------------------------------------------------------------------
-# FLOPs accounting
-# ---------------------------------------------------------------------------
-
-@dataclass
-class FlopsReport:
-    per_layer: list[int]
-    total: int
-
-
-def flops_count(spec) -> FlopsReport:
-    """Multiply-add FLOPs per layer (factor 2); activations and pools count 0.
-
-    conv2d: 2 * c_out * c_in * kh * kw * h_out * w_out; linear: 2 * in * out.
-    """
-    dims = tuple(spec.input_dims)
-    per_layer: list[int] = []
-    for i, layer in enumerate(spec.layers):
-        dims = nn._layer_out_dims(layer, dims, i, spec.num_classes)
-        if layer.kind == nn.CONV2D:
-            kh, kw = layer.kernel
-            _, ho, wo = dims
-            per_layer.append(2 * layer.out_channels * layer.in_channels * kh * kw
-                             * ho * wo)
-        elif layer.kind == nn.LINEAR:
-            per_layer.append(2 * layer.in_features * layer.out_features)
-        else:
-            per_layer.append(0)
-    return FlopsReport(per_layer=per_layer, total=sum(per_layer))
+from .nn import flops_count
 
 
 def desk_net(input_dims=(1, 28, 28), num_classes=10,
@@ -96,6 +68,8 @@ class TrainConfig:
             raise ValueError(f"lr must be > 0, got {self.lr}")
         if self.seed < 0:
             raise ValueError(f"seed must be >= 0, got {self.seed}")
+        if not all(isinstance(p, numbers.Real) and 0 < p < 1 for p in self.decay_points):
+            raise ValueError(f"decay_points must lie in (0, 1), got {self.decay_points}")
 
 
 def _epoch_lr(cfg: TrainConfig, epoch: int) -> float:

@@ -18,6 +18,7 @@ from __future__ import annotations
 import dataclasses
 import functools
 import json
+import math
 import numbers
 import types
 import typing
@@ -94,15 +95,27 @@ def _layer_to_dict(layer: nn.LayerSpec) -> dict:
     return d
 
 
+def _int_fields(d: dict, *keys: str) -> list:
+    """A layer record's integer fields; "kernel" and "window" are [h, w] pairs."""
+    out = [d[key] for key in keys]
+    for key, v in zip(keys, out):
+        if key not in ("kernel", "window"):
+            require_int(v, key)
+        elif not (isinstance(v, list) and len(v) == 2
+                  and all(isinstance(x, numbers.Integral) for x in v)):
+            raise FormatError(f"{key} must be a pair of integers, got {v!r:.40}")
+    return out
+
+
 def _layer_from_dict(d: dict) -> nn.LayerSpec:
     kind = d["kind"]
     if kind == nn.CONV2D:
-        return nn.conv2d(d["in_channels"], d["out_channels"], tuple(d["kernel"]),
-                         d["stride"], d["padding"])
+        return nn.conv2d(*_int_fields(d, "in_channels", "out_channels", "kernel",
+                                      "stride", "padding"))
     if kind == nn.MAXPOOL2D:
-        return nn.maxpool2d(tuple(d["window"]), d["stride"])
+        return nn.maxpool2d(*_int_fields(d, "window", "stride"))
     if kind == nn.LINEAR:
-        return nn.linear(d["in_features"], d["out_features"])
+        return nn.linear(*_int_fields(d, "in_features", "out_features"))
     if kind == nn.RELU:
         return nn.relu()
     if kind == nn.FLATTEN:
@@ -135,6 +148,9 @@ def spec_from_dict(d: dict) -> nn.NetworkSpec:
         except (TypeError, ValueError) as exc:
             raise FormatError(f"spec layer {i}: {exc}") from None
     try:
+        require_int(num_classes, "num_classes")
+        for v in input_dims:
+            require_int(v, "input_dims")
         return nn.NetworkSpec(tuple(parsed), input_dims, num_classes)
     except (TypeError, ValueError) as exc:
         raise FormatError(f"spec: {exc}") from None
@@ -184,9 +200,11 @@ def load_checkpoint(path) -> Checkpoint:
     if header.get("version") != FORMAT_VERSION:
         raise FormatError(f"{path}: unsupported version {header.get('version')} "
                           f"(expected {FORMAT_VERSION})")
-    for key in ("spec", "tensors", "metadata"):
+    for key, kind in (("spec", dict), ("tensors", list), ("metadata", dict)):
         if key not in header:
             raise FormatError(f"{path}: header has no {key!r}")
+        if not isinstance(header[key], kind):
+            raise FormatError(f"{path}: header {key!r} is not a JSON {kind.__name__}")
     try:
         spec = spec_from_dict(header["spec"])
     except FormatError as exc:
@@ -196,12 +214,14 @@ def load_checkpoint(path) -> Checkpoint:
         try:
             key = (int(entry["layer"]), str(entry["name"]))
             shape = tuple(int(d) for d in entry["shape"])
-        except (KeyError, TypeError, ValueError):
+        except (KeyError, TypeError, ValueError, OverflowError):
             raise FormatError(f"{path}: tensor entry {n} is not a "
                               "{layer, name, shape} record") from None
         if key in staged:
             raise FormatError(f"{path}: layer {key[0]} {key[1]} stored twice")
-        nbytes = int(np.prod(shape, dtype=np.int64)) * 8
+        if min(shape, default=0) < 0:
+            raise FormatError(f"{path}: tensor entry {n} has shape {list(shape)}")
+        nbytes = math.prod(shape) * 8
         if len(data) < off + 4 + nbytes:
             raise FormatError(f"{path}: truncated tensor data at byte {len(data)}")
         stored_crc = int.from_bytes(data[off:off + 4], "little")

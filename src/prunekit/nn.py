@@ -1,9 +1,9 @@
 """Dense float64 engine for small sequential CNNs.
 
 Forward and reverse passes for the layer kinds the pruning pipeline needs
-(conv2d, relu, maxpool2d, flatten, linear, softmax cross-entropy head) plus
-a Nesterov momentum SGD step.  Tensors are plain numpy float64 arrays; batched
-activations carry a leading batch axis.
+(conv2d, relu, maxpool2d, flatten, linear, softmax cross-entropy head), a
+Nesterov momentum SGD step and a network's FLOPs count.  Tensors are plain
+numpy float64 arrays, and every activation carries a leading batch axis.
 
 Every function here is pure: inputs are never mutated and identical inputs
 produce bit-identical outputs (reductions run in a fixed order).
@@ -16,8 +16,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-DTYPE = np.float64
-
 CONV2D = "conv2d"
 RELU = "relu"
 MAXPOOL2D = "maxpool2d"
@@ -28,10 +26,6 @@ SOFTMAX_CE_HEAD = "softmax_ce_head"
 
 class ShapeError(ValueError):
     """A tensor dimension does not match the layer contract."""
-
-
-def as_tensor(x) -> np.ndarray:
-    return np.ascontiguousarray(x, dtype=DTYPE)
 
 
 # ---------------------------------------------------------------------------
@@ -173,6 +167,33 @@ def _layer_out_dims(layer: LayerSpec, dims: tuple[int, ...], i: int,
     raise ShapeError(f"layer {i}: unknown kind {layer.kind!r}")
 
 
+@dataclass
+class FlopsReport:
+    per_layer: list[int]
+    total: int
+
+
+def flops_count(spec) -> FlopsReport:
+    """Multiply-add FLOPs per layer (factor 2); activations and pools count 0.
+
+    conv2d: 2 * c_out * c_in * kh * kw * h_out * w_out; linear: 2 * in * out.
+    """
+    dims = tuple(spec.input_dims)
+    per_layer: list[int] = []
+    for i, layer in enumerate(spec.layers):
+        dims = _layer_out_dims(layer, dims, i, spec.num_classes)
+        if layer.kind == CONV2D:
+            kh, kw = layer.kernel
+            _, ho, wo = dims
+            per_layer.append(2 * layer.out_channels * layer.in_channels * kh * kw
+                             * ho * wo)
+        elif layer.kind == LINEAR:
+            per_layer.append(2 * layer.in_features * layer.out_features)
+        else:
+            per_layer.append(0)
+    return FlopsReport(per_layer=per_layer, total=sum(per_layer))
+
+
 # ---------------------------------------------------------------------------
 # Parameters
 # ---------------------------------------------------------------------------
@@ -198,11 +219,11 @@ def init_params(spec: NetworkSpec, seed=0) -> list[LayerParams | None]:
             fan_in = layer.in_channels * kh * kw
             w = rng.normal(0.0, np.sqrt(2.0 / fan_in),
                            size=(layer.out_channels, layer.in_channels, kh, kw))
-            params.append(LayerParams(as_tensor(w), np.zeros(layer.out_channels)))
+            params.append(LayerParams(w, np.zeros(layer.out_channels)))
         elif layer.kind == LINEAR:
             w = rng.normal(0.0, np.sqrt(2.0 / layer.in_features),
                            size=(layer.out_features, layer.in_features))
-            params.append(LayerParams(as_tensor(w), np.zeros(layer.out_features)))
+            params.append(LayerParams(w, np.zeros(layer.out_features)))
         else:
             params.append(None)
     return params
@@ -302,31 +323,6 @@ def _conv_backward(cols: np.ndarray, x_shape, weights: np.ndarray, stride: int,
     return dx.transpose(0, 3, 1, 2), dw, db
 
 
-def conv2d_forward(x, weights, bias, stride: int = 1, padding: int = 0) -> np.ndarray:
-    """2-D cross-correlation.
-
-    out[i] = sum_j (x[j] star weights[i, j]) + bias[i].  `x` may be a single
-    (c, h, w) image or a (n, c, h, w) batch.
-    """
-    x = as_tensor(x)
-    single = x.ndim == 3
-    if single:
-        x = x[None]
-    if x.ndim != 4:
-        raise ShapeError(f"input rank: expected 3 or 4 dims, got {x.ndim}")
-    weights = as_tensor(weights)
-    if weights.ndim != 4:
-        raise ShapeError(f"weights rank: expected 4 dims, got {weights.ndim}")
-    c_out, c_in = weights.shape[0], weights.shape[1]
-    if x.shape[1] != c_in:
-        raise ShapeError(f"input channels: expected {c_in}, got {x.shape[1]}")
-    bias = as_tensor(bias)
-    if bias.shape != (c_out,):
-        raise ShapeError(f"bias length: expected {c_out}, got {bias.shape}")
-    y, _ = _conv_forward(x, weights, bias, stride, padding)
-    return y[0] if single else y
-
-
 # ---------------------------------------------------------------------------
 # Remaining layer ops
 # ---------------------------------------------------------------------------
@@ -407,9 +403,7 @@ def softmax(logits: np.ndarray) -> np.ndarray:
 
 
 def cross_entropy(logits: np.ndarray, labels: np.ndarray) -> float:
-    """Mean softmax cross-entropy; for one sample this is -log(softmax(logits)[label])."""
-    logits = np.atleast_2d(logits)
-    labels = np.atleast_1d(labels)
+    """Mean over the batch of -log(softmax(logits)[label])."""
     z = logits - logits.max(axis=1, keepdims=True)
     log_norm = np.log(np.exp(z).sum(axis=1))
     picked = z[np.arange(len(labels)), labels]
@@ -453,9 +447,7 @@ class Gradients:
 
 
 def _input_batch(spec: NetworkSpec, x) -> np.ndarray:
-    x = as_tensor(x)
-    if x.ndim == 3:
-        x = x[None]
+    x = np.ascontiguousarray(x, dtype=np.float64)
     if x.shape[1:] != tuple(spec.input_dims):
         raise ShapeError(f"input dims: expected {tuple(spec.input_dims)}, "
                          f"got {x.shape[1:]}")

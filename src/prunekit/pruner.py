@@ -45,7 +45,7 @@ class PruneConfig:
     `flops_target` resolves budgets as a uniform keep fraction across all
     prunable convs, rounded up per layer; setting both is an error, as are
     a target that is not finite or below 1, a negative seed and a count,
-    budget or seed that is not an integer.
+    budget key, budget or seed that is not an integer.
     """
 
     budgets: dict[int, int] | None = None
@@ -59,6 +59,7 @@ class PruneConfig:
         for name in ("num_locations", "probe_images", "seed"):
             model_io.require_int(getattr(self, name), name)
         for ordinal, b in (self.budgets or {}).items():
+            model_io.require_int(ordinal, "budget key")
             model_io.require_int(b, f"budget for conv {ordinal}")
         if self.variant not in VARIANTS:
             raise ValueError(f"unknown variant {self.variant!r}; choose from {VARIANTS}")
@@ -387,13 +388,11 @@ def resolve_budgets(spec: nn.NetworkSpec, config: PruneConfig) -> dict[int, int]
     if config.flops_target is None:
         return {}
 
-    from .harness import flops_count  # deferred: harness wraps this module
-
     widths = {o: spec.layers[convs[o - 1]].in_channels
               for o in range(2, len(convs) + 1)}
     if not widths:
         return {}
-    base_total = flops_count(spec).total
+    base_total = nn.flops_count(spec).total
 
     def budgets_for(fraction: float) -> dict[int, int]:
         return {o: min(c, max(1, int(np.ceil(fraction * c - 1e-9))))
@@ -404,7 +403,7 @@ def resolve_budgets(spec: nn.NetworkSpec, config: PruneConfig) -> dict[int, int]
     for f in fractions:
         budgets = budgets_for(f)
         pruned = apply_budgets_to_spec(spec, budgets)
-        cr = base_total / flops_count(pruned).total
+        cr = base_total / nn.flops_count(pruned).total
         gap = abs(cr - config.flops_target)
         if gap < best_gap - 1e-15 or best is None:
             best, best_gap = budgets, gap

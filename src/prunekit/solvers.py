@@ -20,8 +20,9 @@ from functools import cached_property
 import numpy as np
 import scipy.linalg
 
-# Solver constants: the coordinate-descent stopping change and sweep limit,
-# and the ratio between successive points of the lambda grid.
+# Solver constants, read at call time: the coordinate-descent stopping change
+# and sweep limit, the ratio between successive points of the lambda grid and
+# the grid's start as a fraction of lambda_max.
 DEFAULT_TOL = 1e-9
 DEFAULT_MAX_SWEEPS = 10000
 DEFAULT_GRID_RATIO = 1.3
@@ -285,22 +286,21 @@ def _feature_sign_finish(gram: np.ndarray, corr: np.ndarray, beta: np.ndarray,
 
 
 def lasso_coordinate_descent(system: WeightedSystem, lam: float,
-                             beta_init: np.ndarray | None = None,
-                             max_sweeps: int = DEFAULT_MAX_SWEEPS,
-                             tol: float = DEFAULT_TOL):
+                             beta_init: np.ndarray | None = None):
     """Cyclic coordinate descent for ||b - A beta||^2 + lam * |beta|_1.
 
     Returns (beta, converged).  Stops when the largest coordinate change in
-    a sweep falls below `tol`, or earlier through an exact finish: after a
-    sweep that leaves the sign pattern of beta unchanged, a feature-sign
-    search from that beta (at most `max_sweeps` and twice the live column
-    count solves) looks for the exact solution, and sweeping goes on if it
-    finds none.  `converged` is True when either stop was reached; running
-    out of sweeps is reported via the flag, not an exception.  All-zero
-    columns are pinned at beta_j = 0, and so is every column after the
-    first of a bit-identical group (`WeightedSystem.first_copy`); a
-    beta_init weight on such a copy moves onto the group's first column.
-    The objective never increases relative to beta_init.
+    a sweep falls below `DEFAULT_TOL`, or earlier through an exact finish:
+    after a sweep that leaves the sign pattern of beta unchanged, a
+    feature-sign search from that beta (at most `DEFAULT_MAX_SWEEPS` and
+    twice the live column count solves) looks for the exact solution, and
+    sweeping goes on if it finds none.  `converged` is True when either
+    stop was reached; running out of the `DEFAULT_MAX_SWEEPS` sweeps is
+    reported via the flag, not an exception.  All-zero columns are pinned
+    at beta_j = 0, and so is every column after the first of a
+    bit-identical group (`WeightedSystem.first_copy`); a beta_init weight
+    on such a copy moves onto the group's first column.  The objective
+    never increases relative to beta_init.
     """
     if lam < 0:
         raise ValueError(f"lambda must be nonnegative, got {lam}")
@@ -327,10 +327,10 @@ def lasso_coordinate_descent(system: WeightedSystem, lam: float,
     live = d > 0.0
     live[copies] = False
     live_cols = np.flatnonzero(live)
-    finish_steps = min(max_sweeps, 2 * len(live_cols))
+    finish_steps = min(DEFAULT_MAX_SWEEPS, 2 * len(live_cols))
     half_lam = 0.5 * lam
     signs = np.sign(beta)
-    for _ in range(max_sweeps):
+    for _ in range(DEFAULT_MAX_SWEEPS):
         # q_j = (A^T A beta)_j; recomputed per sweep to stop drift, then
         # updated incrementally inside the sweep.
         q = gram @ beta
@@ -345,7 +345,7 @@ def lasso_coordinate_descent(system: WeightedSystem, lam: float,
                 delta = abs(new - old)
                 if delta > max_delta:
                     max_delta = delta
-        if max_delta < tol:
+        if max_delta < DEFAULT_TOL:
             return beta, True
         prev_signs, signs = signs, np.sign(beta)
         if np.array_equal(signs, prev_signs):
@@ -355,16 +355,14 @@ def lasso_coordinate_descent(system: WeightedSystem, lam: float,
     return beta, False
 
 
-def lambda_search(system: WeightedSystem, budget: int,
-                  lambda_floor: float | None = None) -> SelectionResult:
+def lambda_search(system: WeightedSystem, budget: int) -> SelectionResult:
     """Walk a geometric lambda grid until the LASSO support fits the budget.
 
-    The grid starts at `lambda_floor`, by default `LAMBDA_FLOOR_FRACTION`
-    of lambda_max, and grows by `DEFAULT_GRID_RATIO` per step.  Solves are
-    warm-started from the previous grid point and use the default sweep
-    limit and tolerance.  The first feasible grid point wins; if its
-    support is under budget, excluded columns are backfilled greedily by
-    correlation with the current restricted least-squares residual until
+    The grid starts at `LAMBDA_FLOOR_FRACTION` of lambda_max and grows by
+    `DEFAULT_GRID_RATIO` per step, each solve warm-started from the one
+    before.  The first feasible grid point wins; if its support is under
+    budget, excluded columns are backfilled greedily by correlation with
+    the current restricted least-squares residual until
     |support| = min(budget, nonzero columns).
     The restricted fit w is least squares on the columns A_S themselves, and
     column j's score is |A_j^T (b - A_S w)|.  On a streamed system A is the
@@ -379,8 +377,6 @@ def lambda_search(system: WeightedSystem, budget: int,
     cols = system.cols
     if not 1 <= budget <= cols:
         raise ValueError(f"budget must be in [1, {cols}], got {budget}")
-    if lambda_floor is not None and not (np.isfinite(lambda_floor) and lambda_floor > 0):
-        raise ValueError(f"lambda_floor must be finite and positive, got {lambda_floor}")
     nonzero_cols = np.flatnonzero(system.col_sq_norms > 0.0)
     budget_warning = budget > len(nonzero_cols)
     target = min(budget, len(nonzero_cols))
@@ -388,9 +384,7 @@ def lambda_search(system: WeightedSystem, budget: int,
     first = system.first_copy
     leads = nonzero_cols[first[nonzero_cols] == nonzero_cols]
     corr_peak = np.abs(system.corr()[leads]).max() if len(leads) else 0.0
-    floor = LAMBDA_FLOOR_FRACTION * 2.0 * corr_peak if lambda_floor is None else lambda_floor
-
-    lam = floor
+    lam = LAMBDA_FLOOR_FRACTION * 2.0 * corr_peak
     beta = None
     converged = True
     for _ in range(_MAX_GRID_STEPS):
@@ -443,10 +437,9 @@ def least_squares_refit(patches: np.ndarray, targets: np.ndarray,
     """
     p = np.ascontiguousarray(patches, dtype=np.float64)
     t = np.ascontiguousarray(targets, dtype=np.float64)
-    if t.ndim == 1:
-        t = t[:, None]
-    if p.ndim != 2 or p.shape[0] != t.shape[0]:
-        raise ValueError(f"patches {p.shape} and targets {t.shape} disagree on rows")
+    if p.ndim != 2 or t.ndim != 2 or p.shape[0] != t.shape[0]:
+        raise ValueError(f"patches {p.shape} and targets {t.shape} are not 2-d "
+                         "or disagree on rows")
     kh, kw = int(kernel[0]), int(kernel[1])
     cols = p.shape[1]
     if cols % (kh * kw) != 0:

@@ -34,6 +34,19 @@ class TestTrainEval:
         out = capsys.readouterr().out
         assert out.startswith("accuracy 0.")
 
+    def test_eval_on_malformed_header_is_one_line(self, ckpt_path, capsys):
+        blob = ckpt_path.read_bytes()
+        hlen = int.from_bytes(blob[5:9], "little")
+        header = json.loads(blob[9:9 + hlen])
+        header["spec"]["layers"][0]["kernel"] = [3]
+        text = json.dumps(header).encode()
+        ckpt_path.write_bytes(blob[:5] + len(text).to_bytes(4, "little") + text
+                              + blob[9 + hlen:])
+        assert run(["eval", "--checkpoint", str(ckpt_path), "--data", TEST_DATA]) == 1
+        assert capsys.readouterr().err == (
+            f"error: {ckpt_path}: spec layer 0: kernel must be a pair of integers, "
+            "got [3]\n")
+
     def test_config_file_supplies_defaults(self, tmp_path, capsys):
         cfg = tmp_path / "train.cfg"
         cfg.write_text("epochs = 1\nwidths = 4,6\nlr = 0.05\nbatch_size = 32\n")

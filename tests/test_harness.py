@@ -38,13 +38,13 @@ class TestFlopsCount:
     def test_single_conv_formula(self):
         spec = SimpleNamespace(layers=(nn.conv2d(3, 8, 3, padding=1),),
                                input_dims=(3, 16, 16), num_classes=0)
-        report = harness.flops_count(spec)
+        report = nn.flops_count(spec)
         assert report.per_layer == [110592]
         assert report.total == 110592
 
     def test_empty_spec_is_zero(self):
-        report = harness.flops_count(SimpleNamespace(layers=(), input_dims=(1, 8, 8),
-                                                     num_classes=0))
+        report = nn.flops_count(SimpleNamespace(layers=(), input_dims=(1, 8, 8),
+                                                num_classes=0))
         assert report.total == 0
         assert report.per_layer == []
 
@@ -54,14 +54,14 @@ class TestFlopsCount:
                     nn.conv2d(4, 6, 3, padding=0)),
             input_dims=(1, 8, 8), num_classes=0)
         # conv1: 2*4*1*9*8*8 = 4608; pool: 0; conv2 on 4x4 -> 2x2: 2*6*4*9*2*2 = 1728
-        report = harness.flops_count(spec)
+        report = nn.flops_count(spec)
         assert report.per_layer == [4608, 0, 1728]
         assert report.total == 4608 + 1728
 
     def test_linear_and_head(self):
         spec = harness.desk_net(input_dims=(1, 12, 12), num_classes=4,
                                 widths=(4, 6, 6, 8))
-        report = harness.flops_count(spec)
+        report = nn.flops_count(spec)
         assert report.per_layer[-2] == 2 * (8 * 3 * 3) * 4
         assert report.per_layer[-1] == 0
 
@@ -75,6 +75,13 @@ class TestTrain:
         with pytest.raises(ValueError) as err:
             harness.TrainConfig(**kwargs)
         assert str(err.value) == want
+
+    @pytest.mark.parametrize("points", [(-0.5,), (0.0,), (1.0,), (1.5,), (0.5, "x"),
+                                        (float("nan"),), (True,)])
+    def test_decay_points_outside_the_run_rejected(self, points):
+        with pytest.raises(ValueError) as err:
+            harness.TrainConfig(decay_points=points)
+        assert str(err.value) == f"decay_points must lie in (0, 1), got {points}"
 
     def test_fixed_seed_reproducible(self, spec, train_data):
         cfg = harness.TrainConfig(epochs=1, batch_size=32, lr=0.05, seed=9)

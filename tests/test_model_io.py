@@ -3,6 +3,7 @@ import zlib
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from prunekit import model_io, nn
 
@@ -221,6 +222,32 @@ class TestCheckpointFailsLoud:
         self.write_header(path, json.dumps(header).encode())
         self.load_fails(path, pattern)
 
+    @pytest.mark.parametrize("edit,want", [
+        (lambda h: h.update(tensors=5), "header 'tensors' is not a JSON list"),
+        (lambda h: h.update(metadata=5), "header 'metadata' is not a JSON dict"),
+        (lambda h: h["spec"]["layers"][0].update(kernel=[3]),
+         "spec layer 0: kernel must be a pair of integers, got [3]"),
+        (lambda h: h["spec"]["layers"][0].update(stride=1.0),
+         "spec layer 0: stride must be an integer, got 1.0"),
+        (lambda h: h["spec"].update(num_classes="3"),
+         "spec: num_classes must be an integer, got 3"),
+        (lambda h: h["spec"].update(input_dims=[1, 4.0, 4]),
+         "spec: input_dims must be an integer, got 4.0"),
+        (lambda h: h["tensors"][0].update(shape=[-2, -1, 3, 3]),
+         "tensor entry 0 has shape [-2, -1, 3, 3]"),
+        (lambda h: h["tensors"][0].update(shape=[float("inf")]),
+         "tensor entry 0 is not a {layer, name, shape} record"),
+    ], ids=["tensors", "metadata", "kernel", "stride", "num_classes", "input_dims",
+            "negative_shape", "infinite_shape"])
+    def test_malformed_header_value(self, tmp_path, edit, want):
+        header = self.saved_header(tmp_path)
+        edit(header)
+        path = tmp_path / "m.ckpt"
+        self.write_header(path, json.dumps(header).encode())
+        with pytest.raises(model_io.FormatError) as err:
+            model_io.load_checkpoint(path)
+        assert str(err.value) == f"{path}: {want}"
+
     def test_malformed_tensor_entry(self, tmp_path):
         header = self.saved_header(tmp_path)
         del header["tensors"][0]["shape"]
@@ -245,6 +272,77 @@ class TestCheckpointFailsLoud:
         params[3] = nn.LayerParams(params[3].weights, np.zeros(2))
         with pytest.raises(ValueError, match=r"layer 3: bias \(2,\) != \(3,\)"):
             model_io.Checkpoint(ckpt.spec, params)
+
+
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers(-3, 40) | st.integers()
+    | st.floats() | st.text(max_size=4),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.text(max_size=4), inner, max_size=3),
+    max_leaves=6)
+
+
+class TestCheckpointFuzz:
+    """A damaged checkpoint either loads and re-saves bit-exactly, or fails
+    with one FormatError line that names the file."""
+
+    @pytest.fixture(scope="class")
+    def saved(self, tmp_path_factory):
+        path = tmp_path_factory.mktemp("fuzz") / "m.ckpt"
+        model_io.save_checkpoint(path, small_ckpt())
+        return path, path.read_bytes()
+
+    def load_or_fail_loud(self, path, blob):
+        path.write_bytes(blob)
+        try:
+            ckpt = model_io.load_checkpoint(path)
+        except model_io.FormatError as exc:
+            assert str(exc).startswith(f"{path}: ") and "\n" not in str(exc)
+            return
+        model_io.save_checkpoint(path, ckpt)
+        again = model_io.load_checkpoint(path)
+        assert again.spec == ckpt.spec
+        assert (json.dumps(again.metadata, sort_keys=True)
+                == json.dumps(ckpt.metadata, sort_keys=True))
+        for p, q in zip(ckpt.params, again.params):
+            assert (p is None) == (q is None)
+            if p is not None:
+                assert p.weights.tobytes() == q.weights.tobytes()
+                assert p.bias.tobytes() == q.bias.tobytes()
+
+    @given(st.data())
+    def test_truncated(self, saved, data):
+        path, blob = saved
+        self.load_or_fail_loud(path, blob[:data.draw(st.integers(0, len(blob) - 1))])
+
+    @given(st.data())
+    def test_flipped_bytes(self, saved, data):
+        path, blob = saved
+        damaged = bytearray(blob)
+        for at, mask in data.draw(st.lists(st.tuples(st.integers(0, len(blob) - 1),
+                                                     st.integers(1, 255)),
+                                           min_size=1, max_size=4)):
+            damaged[at] ^= mask
+        self.load_or_fail_loud(path, bytes(damaged))
+
+    @given(st.data())
+    @settings(max_examples=300)
+    def test_substituted_json_value(self, saved, data):
+        # Walk down from a top-level key, stopping at each level with
+        # probability 1/2, so shallow keys are hit about as often as deep ones.
+        path, blob = saved
+        hlen = int.from_bytes(blob[5:9], "little")
+        header = json.loads(blob[9:9 + hlen])
+        node, key = header, data.draw(st.sampled_from(sorted(header)))
+        while (isinstance(node[key], (dict, list)) and node[key]
+               and data.draw(st.booleans())):
+            node = node[key]
+            key = data.draw(st.sampled_from(
+                sorted(node) if isinstance(node, dict) else range(len(node))))
+        node[key] = data.draw(JSON_VALUES)
+        text = json.dumps(header).encode()
+        self.load_or_fail_loud(path, blob[:5] + len(text).to_bytes(4, "little")
+                               + text + blob[9 + hlen:])
 
 
 class TestIdxLoader:

@@ -16,18 +16,23 @@ def tiny_spec():
         input_dims=(2, 6, 6), num_classes=3)
 
 
+def conv_one(x, w, b, stride=1, padding=0):
+    """The engine's batched conv applied to one (c, h, w) image."""
+    return nn._conv_forward(x[None], w, b, stride, padding)[0][0]
+
+
 class TestConv2dForward:
     def test_identity_kernel(self):
         x = np.arange(9.0).reshape(1, 3, 3)
         w = np.ones((1, 1, 1, 1))
-        out = nn.conv2d_forward(x, w, bias=[0.0])
+        out = conv_one(x, w, np.zeros(1))
         np.testing.assert_array_equal(out, x)
 
     def test_matches_loop_oracle(self, rng):
         x = rng.normal(size=(3, 8, 8))
         w = rng.normal(size=(4, 3, 3, 3))
         b = rng.normal(size=4)
-        got = nn.conv2d_forward(x, w, b, stride=1, padding=1)
+        got = conv_one(x, w, b, stride=1, padding=1)
         want = conv2d_loop(x, w, b, stride=1, padding=1)
         np.testing.assert_allclose(got, want, atol=1e-12)
 
@@ -36,21 +41,9 @@ class TestConv2dForward:
         x = rng.normal(size=(2, 9, 7))
         w = rng.normal(size=(3, 2, 3, 3))
         b = rng.normal(size=3)
-        got = nn.conv2d_forward(x, w, b, stride=stride, padding=padding)
+        got = conv_one(x, w, b, stride=stride, padding=padding)
         want = conv2d_loop(x, w, b, stride=stride, padding=padding)
         np.testing.assert_allclose(got, want, atol=1e-12)
-
-    def test_channel_mismatch_names_dimension(self, rng):
-        x = rng.normal(size=(2, 5, 5))
-        w = rng.normal(size=(3, 4, 3, 3))
-        with pytest.raises(nn.ShapeError, match="input channels: expected 4, got 2"):
-            nn.conv2d_forward(x, w, np.zeros(3))
-
-    def test_bad_bias_length(self, rng):
-        x = rng.normal(size=(2, 5, 5))
-        w = rng.normal(size=(3, 2, 3, 3))
-        with pytest.raises(nn.ShapeError, match="bias length"):
-            nn.conv2d_forward(x, w, np.zeros(2))
 
 
 class TestIm2col:
@@ -177,10 +170,10 @@ class TestForwardCollect:
              nn.linear(3 * 5 * 5, 2), nn.softmax_ce_head()),
             (2, 5, 5), 2)
         params = nn.init_params(spec, 3)
-        x = rng.normal(size=(2, 5, 5))
+        x = rng.normal(size=(1, 2, 5, 5))
         trace = nn.forward_collect(spec, params, x)
-        direct = nn.conv2d_forward(x, params[0].weights, params[0].bias, padding=1)
-        np.testing.assert_array_equal(trace.outputs[0][0], direct)
+        direct, _ = nn._conv_forward(x, params[0].weights, params[0].bias, 1, 1)
+        np.testing.assert_array_equal(trace.outputs[0], direct)
 
     def test_layer_by_layer_reapplication_bitwise(self, rng):
         spec = tiny_spec()
@@ -190,8 +183,8 @@ class TestForwardCollect:
         cur = trace.x
         for i, layer in enumerate(spec.layers):
             if layer.kind == nn.CONV2D:
-                cur = nn.conv2d_forward(cur, params[i].weights, params[i].bias,
-                                        stride=layer.stride, padding=layer.padding)
+                cur, _ = nn._conv_forward(cur, params[i].weights, params[i].bias,
+                                          layer.stride, layer.padding)
             elif layer.kind == nn.RELU:
                 cur = nn.relu_forward(cur)
             elif layer.kind == nn.MAXPOOL2D:

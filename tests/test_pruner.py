@@ -1,5 +1,4 @@
 import dataclasses
-import functools
 import tracemalloc
 import weakref
 
@@ -68,7 +67,9 @@ class TestPruneConfig:
         (dict(budgets={2: 2.5}), "budget for conv 2 must be an integer, got 2.5"),
         (dict(probe_images=10.5), "probe_images must be an integer, got 10.5"),
         (dict(num_locations=2.5), "num_locations must be an integer, got 2.5"),
-        (dict(seed=1.5), "seed must be an integer, got 1.5")])
+        (dict(seed=1.5), "seed must be an integer, got 1.5"),
+        (dict(budgets={2.5: 3}), "budget key must be an integer, got 2.5"),
+        (dict(budgets={2.0: 3}), "budget key must be an integer, got 2.0")])
     def test_non_integer_settings_rejected(self, kwargs, want):
         with pytest.raises(ValueError) as err:
             pruner.PruneConfig(**kwargs)
@@ -127,8 +128,7 @@ class TestExtractProbes:
         trace = nn.forward_collect(trained.spec, trained.params,
                                    synth_data.images[sample.image_ids])
         x_in = trace.outputs[li - 1]
-        direct = nn.conv2d_forward(x_in, w0, np.zeros(w0.shape[0]),
-                                   stride=layer.stride, padding=layer.padding)
+        direct, _ = nn._conv_forward(x_in, w0, None, layer.stride, layer.padding)
         n_loc = sample.rows.shape[1]
         for p in range(probe.y0.shape[0]):
             img, k = divmod(p, n_loc)
@@ -874,8 +874,8 @@ class TestResolveBudgets:
         cfg = quick_config(flops_target=2.0)
         budgets = pruner.resolve_budgets(trained.spec, cfg)
         pruned_spec = pruner.apply_budgets_to_spec(trained.spec, budgets)
-        cr = (harness.flops_count(trained.spec).total
-              / harness.flops_count(pruned_spec).total)
+        cr = (nn.flops_count(trained.spec).total
+              / nn.flops_count(pruned_spec).total)
         assert 0.9 * 2.0 <= cr <= 1.1 * 2.0
 
     def test_target_one_means_no_pruning_loss(self, trained):
@@ -912,8 +912,7 @@ class TestTraceFiles:
     def test_unconverged_solve_writes_zero(self, tmp_path, trained, synth_data,
                                            monkeypatch):
         # One sweep per solve: none of them can converge.
-        monkeypatch.setattr(solvers, "lasso_coordinate_descent", functools.partial(
-            solvers.lasso_coordinate_descent, max_sweeps=1))
+        monkeypatch.setattr(solvers, "DEFAULT_MAX_SWEEPS", 1)
         _, traces = pruner.prune_model(trained, synth_data, quick_config(flops_target=2.0))
         path = tmp_path / "run.trace"
         pruner.write_traces(path, traces)

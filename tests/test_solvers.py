@@ -32,6 +32,12 @@ class TestWeightedSystem:
             solvers.WeightedSystem(rng.normal(size=4), rng.normal(size=4))
 
 
+def one_sweep(monkeypatch):
+    """Limit every LASSO solve to one sweep, with no tolerance stop."""
+    monkeypatch.setattr(solvers, "DEFAULT_MAX_SWEEPS", 1)
+    monkeypatch.setattr(solvers, "DEFAULT_TOL", 0.0)
+
+
 class TestLassoCoordinateDescent:
     def test_full_shrinkage_threshold(self, rng):
         sys_ = random_system(rng)
@@ -95,10 +101,11 @@ class TestLassoCoordinateDescent:
         with pytest.raises(ValueError, match="nonnegative"):
             solvers.lasso_coordinate_descent(random_system(rng), -0.1)
 
-    def test_sweep_exhaustion_flagged_not_fatal(self, rng):
+    def test_sweep_exhaustion_flagged_not_fatal(self, rng, monkeypatch):
         sys_ = random_system(rng, rows=40, cols=8, noise=0.5)
-        _, converged = solvers.lasso_coordinate_descent(sys_, 1e-12, max_sweeps=1,
-                                                        tol=1e-15)
+        monkeypatch.setattr(solvers, "DEFAULT_MAX_SWEEPS", 1)
+        monkeypatch.setattr(solvers, "DEFAULT_TOL", 1e-15)
+        _, converged = solvers.lasso_coordinate_descent(sys_, 1e-12)
         assert not converged
 
     def test_all_zero_column_pinned(self, rng):
@@ -128,8 +135,9 @@ class TestLassoCoordinateDescent:
         beta = rng.normal(size=6)
         prev = lasso_objective(sys_.a, sys_.b, beta, lam)
         for _ in range(5):
-            beta, _ = solvers.lasso_coordinate_descent(sys_, lam, beta_init=beta,
-                                                       max_sweeps=1, tol=0.0)
+            with pytest.MonkeyPatch.context() as mp:
+                one_sweep(mp)
+                beta, _ = solvers.lasso_coordinate_descent(sys_, lam, beta_init=beta)
             cur = lasso_objective(sys_.a, sys_.b, beta, lam)
             assert cur <= prev + 1e-9 * max(1.0, prev)
             prev = cur
@@ -160,24 +168,25 @@ class TestActiveSetFinish:
         if ref_converged:
             assert np.flatnonzero(beta).tolist() == np.flatnonzero(ref).tolist()
 
-    def test_ill_conditioned_system_finishes_where_sweeps_stall(self):
+    def test_ill_conditioned_system_finishes_where_sweeps_stall(self, monkeypatch):
         rng = np.random.default_rng(3)
         sys_ = collinear_system(rng, 60, 16, 0.02)
         lam = 0.02 * np.abs(sys_.corr()).max()
         _, ref_converged = lasso_sweeps(sys_.a, sys_.b, lam, max_sweeps=2000)
         assert not ref_converged
-        beta, converged = solvers.lasso_coordinate_descent(sys_, lam, max_sweeps=2000)
+        monkeypatch.setattr(solvers, "DEFAULT_MAX_SWEEPS", 2000)
+        beta, converged = solvers.lasso_coordinate_descent(sys_, lam)
         assert converged
         viol, scale = kkt_violation(sys_.a, sys_.b, beta, lam)
         assert viol <= 1e-9 * scale
 
-    def test_warm_start_at_the_solution_finishes_in_one_sweep(self, rng):
+    def test_warm_start_at_the_solution_finishes_in_one_sweep(self, rng, monkeypatch):
         sys_ = collinear_system(rng, 40, 8, 0.1)
         lam = 0.05 * np.abs(sys_.corr()).max()
         beta, converged = solvers.lasso_coordinate_descent(sys_, lam)
         assert converged and np.count_nonzero(beta)
-        again, converged = solvers.lasso_coordinate_descent(sys_, lam, beta_init=beta,
-                                                            max_sweeps=1, tol=0.0)
+        one_sweep(monkeypatch)
+        again, converged = solvers.lasso_coordinate_descent(sys_, lam, beta_init=beta)
         assert converged
         np.testing.assert_allclose(again, beta, rtol=1e-9, atol=1e-12)
 
@@ -245,6 +254,12 @@ class TestFeatureSignSearch:
         np.testing.assert_allclose(found, beta, rtol=1e-9, atol=1e-12)
 
 
+def floor_above_lambda_max(monkeypatch):
+    """Start the lambda grid at 2 lambda_max = 4 max|A^T b|, so the first
+    solve is beta = 0 and the support is all backfill."""
+    monkeypatch.setattr(solvers, "LAMBDA_FLOOR_FRACTION", 2.0)
+
+
 class TestIdenticalColumns:
     def test_first_copy_maps_each_column_to_its_lowest_twin(self, rng):
         x, y = rng.normal(size=10), rng.normal(size=10)
@@ -289,24 +304,24 @@ class TestIdenticalColumns:
         assert viol <= 1e-9 * scale
 
     @pytest.mark.parametrize("seed", range(6))
-    def test_exact_tie_in_backfill_goes_to_the_lowest_index(self, seed):
+    def test_exact_tie_in_backfill_goes_to_the_lowest_index(self, seed, monkeypatch):
         rng = np.random.default_rng(seed)
         a = rng.normal(size=(40, 6))
         a[:, 4] = a[:, 1]
         b = 3.0 * a[:, 1] + 0.1 * rng.normal(size=40)
         sys_ = solvers.WeightedSystem(a, b)
+        assert solvers.lambda_search(sys_, 1).support == (1,)
         # A floor above lambda_max leaves beta = 0, so backfill picks first.
-        floor = 4.0 * np.abs(sys_.corr()).max()
-        assert solvers.lambda_search(sys_, 1, lambda_floor=floor).support == (1,)
+        floor_above_lambda_max(monkeypatch)
         assert solvers.lambda_search(sys_, 1).support == (1,)
 
-    def test_weight_on_a_copy_moves_to_its_first_column(self, rng):
+    def test_weight_on_a_copy_moves_to_its_first_column(self, rng, monkeypatch):
         a = rng.normal(size=(20, 4))
         a[:, 3] = a[:, 0]
         sys_ = solvers.WeightedSystem(a, rng.normal(size=20))
         start = np.array([0.5, 0.0, 0.0, 0.7])
-        beta, _ = solvers.lasso_coordinate_descent(sys_, 0.1, beta_init=start,
-                                                   max_sweeps=1, tol=0.0)
+        one_sweep(monkeypatch)
+        beta, _ = solvers.lasso_coordinate_descent(sys_, 0.1, beta_init=start)
         assert beta[3] == 0.0
         assert (lasso_objective(sys_.a, sys_.b, beta, 0.1)
                 <= lasso_objective(sys_.a, sys_.b, start, 0.1))
@@ -360,13 +375,6 @@ class TestLambdaSearch:
             assert len(res.support) == min(budget, 4)
             assert res.beta[2] == 0.0
 
-    @pytest.mark.parametrize("floor", [0.0, -1.0, np.inf, np.nan])
-    def test_invalid_lambda_floor(self, rng, floor):
-        sys_ = random_system(rng, cols=4)
-        with pytest.raises(ValueError) as err:
-            solvers.lambda_search(sys_, budget=2, lambda_floor=floor)
-        assert str(err.value) == f"lambda_floor must be finite and positive, got {floor}"
-
     def test_invalid_budget(self, rng):
         sys_ = random_system(rng, cols=4)
         with pytest.raises(ValueError, match=r"budget must be in \[1, 4\]"):
@@ -418,7 +426,7 @@ class TestBackfill:
     """Greedy backfill against the same picks made by lstsq over A itself."""
 
     @pytest.mark.parametrize("seed", range(6))
-    def test_matches_lstsq_over_a_with_singular_restricted_gram(self, seed):
+    def test_matches_lstsq_over_a_with_singular_restricted_gram(self, seed, monkeypatch):
         rng = np.random.default_rng(seed)
         a = rng.normal(size=(30, 8)) * rng.uniform(0.2, 3.0, size=8)
         a[:, 5] = 2.0 * a[:, 2]  # duplicates up to a power-of-two scale, so
@@ -427,14 +435,14 @@ class TestBackfill:
         b = a @ rng.normal(size=8) + 0.3 * rng.normal(size=30)
         sys_ = solvers.WeightedSystem(a, b)
         # A floor above lambda_max leaves beta = 0, so backfill picks every column.
-        floor = 4.0 * np.abs(sys_.corr()).max()
+        floor_above_lambda_max(monkeypatch)
         # Budget 6 is left out: the sixth pick is between columns 2 and 3,
         # which lie in span(A_S) once 5 and 7 are in, so both scores are
         # rounding noise and either pick is exact.
         for budget in (1, 2, 3, 4, 5, 7, 8):
             with warnings.catch_warnings():
                 warnings.simplefilter("error", scipy.linalg.LinAlgWarning)
-                res = solvers.lambda_search(sys_, budget, lambda_floor=floor)
+                res = solvers.lambda_search(sys_, budget)
             assert not res.beta.any()
             assert res.support == greedy_backfill(a, b, [], min(budget, 7))
             assert res.budget_warning == (budget == 8)
@@ -442,7 +450,7 @@ class TestBackfill:
             assert res.residual_norm == pytest.approx(want, rel=1e-9)
 
     @pytest.mark.parametrize("seed", range(6))
-    def test_matches_lstsq_over_a_on_nearly_collinear_columns(self, seed):
+    def test_matches_lstsq_over_a_on_nearly_collinear_columns(self, seed, monkeypatch):
         # Column 5 is column 2 plus a 1e-9 perturbation: cond(A_S) is about
         # 1e9 once both are in S, so cond(G_SS) is about 1e18 and the normal
         # equations alone would drop the direction that tells them apart.
@@ -451,19 +459,22 @@ class TestBackfill:
         a[:, 5] = a[:, 2] + 1e-9 * rng.normal(size=30)
         b = a @ rng.normal(size=8) + 0.3 * rng.normal(size=30)
         sys_ = solvers.WeightedSystem(a, b)
-        floor = 4.0 * np.abs(sys_.corr()).max()
+        floor_above_lambda_max(monkeypatch)
         for budget in range(1, 9):
-            res = solvers.lambda_search(sys_, budget, lambda_floor=floor)
+            res = solvers.lambda_search(sys_, budget)
             assert res.support == greedy_backfill(a, b, [], budget)
             # The fit weighs the near-duplicate pair by about +-1e7, so either
             # way of forming b - A_S w cancels to about 1e-7 relative.
             want = subset_residual(a, b, res.support)
             assert res.residual_norm == pytest.approx(want, rel=1e-6)
 
-    def test_lasso_support_is_kept_and_extended(self, rng):
+    def test_lasso_support_is_kept_and_extended(self, rng, monkeypatch):
         sys_ = random_system(rng, rows=40, cols=7, sparsity=2, noise=0.05)
         lam = solvers.lambda_search(sys_, budget=1).lambda_final
-        res = solvers.lambda_search(sys_, budget=5, lambda_floor=lam)
+        # Start the grid at (about) the budget-1 lambda.
+        monkeypatch.setattr(solvers, "LAMBDA_FLOOR_FRACTION",
+                            lam / (2.0 * np.abs(sys_.corr()).max()))
+        res = solvers.lambda_search(sys_, budget=5)
         start = np.flatnonzero(res.beta).tolist()
         assert 1 <= len(start) < 5
         assert res.support == greedy_backfill(sys_.a, sys_.b, start, 5)
@@ -540,7 +551,7 @@ class TestSystemStream:
         assert solvers._narrow_copies(first, a).tolist() == [0, 1, 2, 1, 4, 5, 6]
 
     @pytest.mark.parametrize("seed", range(6))
-    def test_backfill_on_nearly_collinear_columns(self, seed):
+    def test_backfill_on_nearly_collinear_columns(self, seed, monkeypatch):
         # TestBackfill's near-duplicate pair, through the factor: its
         # columns keep cond(A_S), about 1e9, so the picks still match lstsq
         # over A itself.
@@ -549,9 +560,9 @@ class TestSystemStream:
         a[:, 5] = a[:, 2] + 1e-9 * rng.normal(size=30)
         b = a @ rng.normal(size=8) + 0.3 * rng.normal(size=30)
         r = streamed(a, b, [5, 25])
-        floor = 4.0 * np.abs(r.corr()).max()
+        floor_above_lambda_max(monkeypatch)
         for budget in range(1, 9):
-            res = solvers.lambda_search(r, budget, lambda_floor=floor)
+            res = solvers.lambda_search(r, budget)
             assert res.support == greedy_backfill(a, b, [], budget)
             want = subset_residual(a, b, res.support)
             assert res.residual_norm == pytest.approx(want, rel=1e-6)
