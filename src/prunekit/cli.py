@@ -162,7 +162,7 @@ def _warn_stages(traces, where: str = "") -> None:
             problems.append(f"kept {t.kept} of its budget of {t.budget} (the "
                             "other channels are zero on every probe)")
         if not t.converged:
-            problems.append(f"LASSO ran out of sweeps at lambda {t.lambda_final:.6g}")
+            problems.append(f"the LASSO search gave up at lambda {t.lambda_final:.6g}")
         if problems:
             print(f"warning: conv {t.conv_ordinal} (layer {t.layer_index}): "
                   + "; ".join(problems) + (f" [{where}]" if where else ""),

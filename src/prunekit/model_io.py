@@ -212,9 +212,12 @@ def load_checkpoint(path) -> Checkpoint:
     staged: dict[tuple[int, str], np.ndarray] = {}
     for n, entry in enumerate(header["tensors"]):
         try:
-            key = (int(entry["layer"]), str(entry["name"]))
-            shape = tuple(int(d) for d in entry["shape"])
-        except (KeyError, TypeError, ValueError, OverflowError):
+            key = (entry["layer"], str(entry["name"]))
+            shape = tuple(entry["shape"])
+            require_int(key[0], "layer")
+            for d in shape:
+                require_int(d, "shape")
+        except (KeyError, TypeError, ValueError):
             raise FormatError(f"{path}: tensor entry {n} is not a "
                               "{layer, name, shape} record") from None
         if key in staged:

@@ -70,7 +70,11 @@ def maxpool2d(window=2, stride: int | None = None) -> LayerSpec:
     wh, ww = _pair(window)
     if min(wh, ww) < 1:
         raise ShapeError("maxpool2d: window extents must be >= 1")
-    return LayerSpec(MAXPOOL2D, window=(wh, ww), stride=int(stride if stride else wh))
+    if stride is None:
+        stride = wh
+    elif stride < 1:
+        raise ShapeError("maxpool2d: stride must be >= 1")
+    return LayerSpec(MAXPOOL2D, window=(wh, ww), stride=int(stride))
 
 
 def flatten() -> LayerSpec:

@@ -323,8 +323,8 @@ def refit_layer(probe: RefitTargets, support, old: nn.LayerParams) -> RefitOutco
 class PruneTrace:
     """One line of the pruning log: what was kept at one conv layer and why.
 
-    `converged` is False when the LASSO solve at `lambda_final` ran out of
-    sweeps; magnitude selection has no solve and reports True.  The
+    `converged` is False when the LASSO search at `lambda_final` gave up;
+    magnitude selection has no solve and reports True.  The
     fields, in order, are the trace file's columns (see `model_io.write_tsv`);
     `kept` is derived from `support`.
     """

@@ -237,8 +237,22 @@ class TestCheckpointFailsLoud:
          "tensor entry 0 has shape [-2, -1, 3, 3]"),
         (lambda h: h["tensors"][0].update(shape=[float("inf")]),
          "tensor entry 0 is not a {layer, name, shape} record"),
+        (lambda h: h["spec"]["layers"].__setitem__(
+            1, {"kind": "maxpool2d", "window": [2, 2], "stride": 0}),
+         "spec layer 1: maxpool2d: stride must be >= 1"),
+        (lambda h: h["spec"]["layers"].__setitem__(
+            1, {"kind": "maxpool2d", "window": [2, 2], "stride": -1}),
+         "spec layer 1: maxpool2d: stride must be >= 1"),
+        (lambda h: h["tensors"][0].update(layer=0.7),
+         "tensor entry 0 is not a {layer, name, shape} record"),
+        (lambda h: h["tensors"][0].update(layer="0"),
+         "tensor entry 0 is not a {layer, name, shape} record"),
+        (lambda h: h["tensors"][0].update(shape=[2, 1, 3, 3.0]),
+         "tensor entry 0 is not a {layer, name, shape} record"),
     ], ids=["tensors", "metadata", "kernel", "stride", "num_classes", "input_dims",
-            "negative_shape", "infinite_shape"])
+            "negative_shape", "infinite_shape", "pool_stride_zero",
+            "pool_stride_negative", "fractional_layer", "string_layer",
+            "fractional_shape"])
     def test_malformed_header_value(self, tmp_path, edit, want):
         header = self.saved_header(tmp_path)
         edit(header)

@@ -387,6 +387,11 @@ class TestAuxOps:
         assert ((tmp_path / "fast.ckpt").read_bytes()
                 == (tmp_path / "reference.ckpt").read_bytes())
 
+    @pytest.mark.parametrize("stride", [0, -1])
+    def test_maxpool_stride_below_one_rejected(self, stride):
+        with pytest.raises(nn.ShapeError, match="maxpool2d: stride must be >= 1"):
+            nn.maxpool2d(4, stride)
+
     def test_maxpool_window_larger_than_input(self):
         with pytest.raises(nn.ShapeError, match="larger than input"):
             nn.maxpool2d_forward(np.zeros((1, 1, 2, 2)), (3, 3), 1)

@@ -5,7 +5,7 @@ import warnings
 import numpy as np
 import pytest
 import scipy.linalg
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from prunekit import solvers
 
@@ -30,12 +30,6 @@ class TestWeightedSystem:
             solvers.WeightedSystem(rng.normal(size=(4, 2)), rng.normal(size=3))
         with pytest.raises(ValueError, match="2-d design"):
             solvers.WeightedSystem(rng.normal(size=4), rng.normal(size=4))
-
-
-def one_sweep(monkeypatch):
-    """Limit every LASSO solve to one sweep, with no tolerance stop."""
-    monkeypatch.setattr(solvers, "DEFAULT_MAX_SWEEPS", 1)
-    monkeypatch.setattr(solvers, "DEFAULT_TOL", 0.0)
 
 
 class TestLassoCoordinateDescent:
@@ -101,12 +95,14 @@ class TestLassoCoordinateDescent:
         with pytest.raises(ValueError, match="nonnegative"):
             solvers.lasso_coordinate_descent(random_system(rng), -0.1)
 
-    def test_sweep_exhaustion_flagged_not_fatal(self, rng, monkeypatch):
+    def test_search_give_up_flagged_not_fatal(self, rng, monkeypatch):
         sys_ = random_system(rng, rows=40, cols=8, noise=0.5)
-        monkeypatch.setattr(solvers, "DEFAULT_MAX_SWEEPS", 1)
-        monkeypatch.setattr(solvers, "DEFAULT_TOL", 1e-15)
-        _, converged = solvers.lasso_coordinate_descent(sys_, 1e-12)
+        start = rng.normal(size=8)
+        monkeypatch.setattr(solvers, "_feature_sign_finish", lambda *args: None)
+        beta, converged = solvers.lasso_coordinate_descent(sys_, 0.1, beta_init=start)
         assert not converged
+        assert (lasso_objective(sys_.a, sys_.b, beta, 0.1)
+                <= lasso_objective(sys_.a, sys_.b, start, 0.1))
 
     def test_all_zero_column_pinned(self, rng):
         a = rng.normal(size=(10, 4))
@@ -126,22 +122,6 @@ class TestLassoCoordinateDescent:
         after = lasso_objective(sys_.a, sys_.b, beta, lam)
         assert after <= before + 1e-9 * max(1.0, before)
 
-    @given(st.integers(0, 2 ** 32 - 1))
-    @settings(max_examples=20)
-    def test_monotone_per_sweep(self, seed):
-        rng = np.random.default_rng(seed)
-        sys_ = random_system(rng, rows=20, cols=6)
-        lam = 0.3
-        beta = rng.normal(size=6)
-        prev = lasso_objective(sys_.a, sys_.b, beta, lam)
-        for _ in range(5):
-            with pytest.MonkeyPatch.context() as mp:
-                one_sweep(mp)
-                beta, _ = solvers.lasso_coordinate_descent(sys_, lam, beta_init=beta)
-            cur = lasso_objective(sys_.a, sys_.b, beta, lam)
-            assert cur <= prev + 1e-9 * max(1.0, prev)
-            prev = cur
-
 
 def collinear_system(rng, rows, cols, spread):
     """Columns that share one direction plus `spread`-sized private noise."""
@@ -154,6 +134,7 @@ def collinear_system(rng, rows, cols, spread):
 
 class TestActiveSetFinish:
     @given(st.integers(0, 2 ** 32 - 1), st.floats(0.001, 0.9), st.floats(0.05, 2.0))
+    @example(seed=318, frac=0.0625, spread=0.25)  # 2 columns, 5 steps from zeros
     @settings(max_examples=30)
     def test_support_matches_sweep_oracle_and_kkt(self, seed, frac, spread):
         rng = np.random.default_rng(seed)
@@ -168,31 +149,29 @@ class TestActiveSetFinish:
         if ref_converged:
             assert np.flatnonzero(beta).tolist() == np.flatnonzero(ref).tolist()
 
-    def test_ill_conditioned_system_finishes_where_sweeps_stall(self, monkeypatch):
+    def test_ill_conditioned_system_finishes_where_sweeps_stall(self):
         rng = np.random.default_rng(3)
         sys_ = collinear_system(rng, 60, 16, 0.02)
         lam = 0.02 * np.abs(sys_.corr()).max()
         _, ref_converged = lasso_sweeps(sys_.a, sys_.b, lam, max_sweeps=2000)
         assert not ref_converged
-        monkeypatch.setattr(solvers, "DEFAULT_MAX_SWEEPS", 2000)
         beta, converged = solvers.lasso_coordinate_descent(sys_, lam)
         assert converged
         viol, scale = kkt_violation(sys_.a, sys_.b, beta, lam)
         assert viol <= 1e-9 * scale
 
-    def test_warm_start_at_the_solution_finishes_in_one_sweep(self, rng, monkeypatch):
+    def test_warm_start_at_the_solution_returns_it(self, rng):
         sys_ = collinear_system(rng, 40, 8, 0.1)
         lam = 0.05 * np.abs(sys_.corr()).max()
         beta, converged = solvers.lasso_coordinate_descent(sys_, lam)
         assert converged and np.count_nonzero(beta)
-        one_sweep(monkeypatch)
         again, converged = solvers.lasso_coordinate_descent(sys_, lam, beta_init=beta)
         assert converged
-        np.testing.assert_allclose(again, beta, rtol=1e-9, atol=1e-12)
+        assert np.array_equal(again, beta)
 
 
 def count_finish_attempts(monkeypatch):
-    """Patch the exact finish to log, per LASSO solve, one entry per attempt."""
+    """Patch the feature-sign search to log, per LASSO solve, its call count."""
     real_finish, real_solve = solvers._feature_sign_finish, solvers.lasso_coordinate_descent
     per_solve = []
 
@@ -237,10 +216,10 @@ class TestFeatureSignSearch:
         for budget in (2, 5, 8, 12):
             res = solvers.lambda_search(sys_, budget)
             assert res.converged
-        assert per_solve and max(per_solve) <= 2
+        assert per_solve and set(per_solve) == {1}
 
     def test_one_step_is_the_one_shot_finish(self, rng):
-        # With one step the search is a single solve for the sweep's signs:
+        # With one step the search is a single solve for the start's signs:
         # a wrong sign pattern gives None instead of a line search.
         sys_ = collinear_system(rng, 40, 8, 0.1)
         lam = 0.05 * np.abs(sys_.corr()).max()
@@ -315,12 +294,11 @@ class TestIdenticalColumns:
         floor_above_lambda_max(monkeypatch)
         assert solvers.lambda_search(sys_, 1).support == (1,)
 
-    def test_weight_on_a_copy_moves_to_its_first_column(self, rng, monkeypatch):
+    def test_weight_on_a_copy_moves_to_its_first_column(self, rng):
         a = rng.normal(size=(20, 4))
         a[:, 3] = a[:, 0]
         sys_ = solvers.WeightedSystem(a, rng.normal(size=20))
         start = np.array([0.5, 0.0, 0.0, 0.7])
-        one_sweep(monkeypatch)
         beta, _ = solvers.lasso_coordinate_descent(sys_, 0.1, beta_init=start)
         assert beta[3] == 0.0
         assert (lasso_objective(sys_.a, sys_.b, beta, 0.1)
