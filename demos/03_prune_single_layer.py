@@ -20,6 +20,7 @@ layer_index = spec.conv_indices()[1]
 cfg = pruner.PruneConfig(probe_images=64, num_locations=10, seed=0)
 sample = pruner.sample_probes(spec, layer_index, train_ds, cfg)
 probe = pruner.extract_probes(ckpt, train_ds, layer_index, sample)
+probe.grad = pruner.probe_gradient(ckpt, train_ds, layer_index, sample, probe.trace)
 print(f"\nprobes at layer {layer_index}: {probe.y0.shape[0]} records, "
       f"{probe.y0.shape[1]} output channels, {probe.z.shape[2]} input channels")
 print(f"gradient magnitudes span [{abs(probe.grad).min():.2e}, "

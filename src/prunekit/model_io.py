@@ -300,11 +300,13 @@ def _read_idx_array(path) -> np.ndarray:
     if magic >> 16 != 0 or (magic >> 8) & 0xFF != 0x08:
         raise FormatError(f"{path}: bad magic 0x{magic:08x} at byte 0")
     ndim = magic & 0xFF
+    if ndim == 0:
+        raise FormatError(f"{path}: zero dimensions at byte 3")
     header = 4 + 4 * ndim
     if len(data) < header:
         raise FormatError(f"{path}: truncated dimensions at byte {len(data)}")
     dims = [int.from_bytes(data[4 + 4 * i:8 + 4 * i], "big") for i in range(ndim)]
-    total = int(np.prod(dims, dtype=np.int64)) if dims else 0
+    total = math.prod(dims)
     if len(data) != header + total:
         raise FormatError(f"{path}: expected {header + total} bytes, got {len(data)} "
                           f"(payload starts at byte {header})")
@@ -320,7 +322,8 @@ def load_idx(images_path, labels_path, split: str = "") -> DatasetHandle:
     if labels.ndim != 1:
         raise FormatError(f"{labels_path}: expected 1-d label data, got {labels.ndim}-d")
     if len(images) != len(labels):
-        raise FormatError(f"{len(images)} images but {len(labels)} labels")
+        raise FormatError(f"{images_path}: {len(images)} images but {len(labels)} "
+                          f"labels in {labels_path}")
     n, h, w = images.shape
     pixels = images.reshape(n, 1, h, w).astype(np.float64) / 255.0
     classes = int(labels.max()) + 1 if n else 0

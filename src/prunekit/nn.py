@@ -422,16 +422,19 @@ def cross_entropy(logits: np.ndarray, labels: np.ndarray) -> float:
 class ForwardTrace:
     """Everything a forward pass produced: input, per-layer outputs, logits.
 
-    outputs[i] is the (batched) output of layers[i]; the head's entry holds
-    softmax probabilities and `logits` is the head's input.  A pass that
-    stopped early has fewer outputs and no logits.  cols[i] is conv layer
-    i's im2col matrix, kept for the backward.
+    `x` is the input of layer `start`, the network's input unless the pass
+    started further up.  outputs[i] is the (batched) output of layers[i],
+    None below `start`; the head's entry holds softmax probabilities and
+    `logits` is the head's input.  A pass that stopped early has fewer
+    outputs and no logits.  cols[i] is conv layer i's im2col matrix, kept
+    for the backward.
     """
 
     x: np.ndarray
-    outputs: list[np.ndarray]
+    outputs: list[np.ndarray | None]
     logits: np.ndarray | None
     cols: dict[int, np.ndarray]
+    start: int = 0
 
 
 @dataclass
@@ -450,11 +453,13 @@ class Gradients:
     loss: float
 
 
-def _input_batch(spec: NetworkSpec, x) -> np.ndarray:
+def _input_batch(spec: NetworkSpec, x, start: int = 0) -> np.ndarray:
+    """`x` as a float64 batch of layer `start`'s input."""
     x = np.ascontiguousarray(x, dtype=np.float64)
-    if x.shape[1:] != tuple(spec.input_dims):
-        raise ShapeError(f"input dims: expected {tuple(spec.input_dims)}, "
-                         f"got {x.shape[1:]}")
+    want = tuple(spec.input_dims) if start == 0 else spec.activation_dims()[start - 1]
+    if x.shape[1:] != want:
+        where = "input dims" if start == 0 else f"layer {start} input dims"
+        raise ShapeError(f"{where}: expected {want}, got {x.shape[1:]}")
     return x
 
 
@@ -474,31 +479,38 @@ def _layer_forward(layer: LayerSpec, p: LayerParams | None, x: np.ndarray):
 
 
 def forward_collect(spec: NetworkSpec, params: list[LayerParams | None], x,
-                    upto: int | None = None) -> ForwardTrace:
+                    upto: int | None = None, start: int = 0) -> ForwardTrace:
     """Run the network, keeping every activation and every conv's im2col matrix.
 
-    `upto` is the index of the last layer to run (default: all of them); the
-    trace then holds outputs[0..upto], and `logits` is None unless the head
-    was reached.  Everything computed is bit-identical to the full pass.
+    `start` is the index of the first layer to run, and `x` is then that
+    layer's input, `activation_dims()[start - 1]` per image; a pruning stage
+    resumes this way at the conv the previous stage refit, from the input
+    that stage's passes computed.  `upto` is the index of the last layer to run (default:
+    all of them); the trace then holds outputs[start..upto], and `logits`
+    is None unless the head was reached.  Everything computed is
+    bit-identical to the full pass, given the same input at `start`.
     """
-    x = _input_batch(spec, x)
     num_layers = len(spec.layers)
     if upto is None:
         upto = num_layers - 1
-    if not 0 <= upto < num_layers:
-        raise ValueError(f"upto must be in [0, {num_layers}), got {upto}")
+    if not 0 <= start < num_layers:
+        raise ValueError(f"start must be in [0, {num_layers}), got {start}")
+    if not start <= upto < num_layers:
+        raise ValueError(f"upto must be in [{start}, {num_layers}), got {upto}")
+    x = _input_batch(spec, x, start)
     cur = x
-    outputs: list[np.ndarray] = []
+    outputs: list[np.ndarray | None] = [None] * start
     cols: dict[int, np.ndarray] = {}
     logits = None
-    for i, layer in enumerate(spec.layers[:upto + 1]):
+    for i in range(start, upto + 1):
+        layer = spec.layers[i]
         if layer.kind == SOFTMAX_CE_HEAD:
             logits = cur
         cur, c = _layer_forward(layer, params[i], cur)
         if c is not None:
             cols[i] = c
         outputs.append(cur)
-    return ForwardTrace(x=x, outputs=outputs, logits=logits, cols=cols)
+    return ForwardTrace(x=x, outputs=outputs, logits=logits, cols=cols, start=start)
 
 
 def predict(spec: NetworkSpec, params: list[LayerParams | None], x) -> np.ndarray:
@@ -515,9 +527,10 @@ def backward_collect(spec: NetworkSpec, params: list[LayerParams | None],
                      wrt_input: bool = True, wrt_weights: bool = True) -> Gradients:
     """Backpropagate mean cross-entropy against `labels` through a forward trace.
 
-    `stop` is the lowest layer index the pass visits: layers below it get
-    no weight gradient, activations[i] is filled for i >= stop - 1 only, and
-    `wrt_input` is None unless stop == 0.  With `wrt_input=False` a first
+    `stop` is the lowest layer index the pass visits, and not below the
+    trace's `start`: layers below it get no weight gradient,
+    activations[i] is filled for i >= stop - 1 only, and `wrt_input` is
+    None unless stop == 0.  With `wrt_input=False` a first
     conv skips its input gradient, which training never reads, and
     `Gradients.wrt_input` is None.  With `wrt_weights=False` conv and linear
     layers compute only their input gradient, as a probe that reads
@@ -532,8 +545,8 @@ def backward_collect(spec: NetworkSpec, params: list[LayerParams | None],
         bad = labels[(labels < 0) | (labels >= spec.num_classes)][0]
         raise ValueError(f"label {bad} out of range for {spec.num_classes} classes")
     num_layers = len(spec.layers)
-    if not 0 <= stop < num_layers:
-        raise ValueError(f"stop must be in [0, {num_layers}), got {stop}")
+    if not trace.start <= stop < num_layers:
+        raise ValueError(f"stop must be in [{trace.start}, {num_layers}), got {stop}")
     if trace.logits is None:
         raise ValueError("trace stops before the head; backward needs a full forward")
 
@@ -550,7 +563,7 @@ def backward_collect(spec: NetworkSpec, params: list[LayerParams | None],
 
     for i in range(num_layers - 2, stop - 1, -1):
         layer = spec.layers[i]
-        x_in = trace.outputs[i - 1] if i > 0 else trace.x
+        x_in = trace.outputs[i - 1] if i > trace.start else trace.x
         if layer.kind == CONV2D:
             dx, dw, db = _conv_backward(trace.cols[i], x_in.shape, params[i].weights,
                                         layer.stride, layer.padding, grad,

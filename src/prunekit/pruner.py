@@ -16,6 +16,9 @@ and a weight-magnitude baseline.
 
 from __future__ import annotations
 
+import os
+from concurrent.futures import ThreadPoolExecutor
+from contextlib import contextmanager
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -154,14 +157,15 @@ class FeatureProbe(RefitTargets):
     and so does y0 while the probed model is the uncompressed one.  Arrays
     are indexed [probe, out_channel] and z is [probe, out_channel,
     in_channel]; `patches` holds the probed model's input receptive fields
-    for the refit step.  `grad` is None when the probe was taken without
-    the loss gradient.  The rows' images and locations are those of the
-    `ProbeSample` the probe was taken on.
+    for the refit step.  `grad` is None until `probe_gradient` has filled
+    it.  `trace` is the forward the probe was read from.  The rows' images
+    and locations are those of the `ProbeSample` the probe was taken on.
     """
 
     ystar: np.ndarray
     grad: np.ndarray | None
     z: np.ndarray
+    trace: nn.ForwardTrace | None = None
 
 
 def _at(output: np.ndarray, sample: ProbeSample) -> np.ndarray:
@@ -176,21 +180,22 @@ def _at(output: np.ndarray, sample: ProbeSample) -> np.ndarray:
 def extract_probes(model: model_io.Checkpoint, dataset: model_io.DatasetHandle,
                    layer_index: int, sample: ProbeSample, gradient: bool = True,
                    y0: np.ndarray | None = None,
-                   table: dict[int, tuple[ProbeSample, np.ndarray]] | None = None
-                   ) -> FeatureProbe:
+                   table: dict[int, tuple[ProbeSample, np.ndarray]] | None = None,
+                   start: tuple[int, np.ndarray] | None = None) -> FeatureProbe:
     """Probe records of the sampled images from one forward of `model`, rows
     in (image, location) order.
 
-    ystar, the loss gradient, the input patches (rows of the probed conv's
-    im2col matrix) and the contributions z (against the probed layer's own
-    weights) all come from `model`.  y0 is `y0` when given, else ystar.
-    `table` maps layers to a sample of these images and the array their
-    bias-free response rows go to; the forward runs deep enough to write
-    them all.  With `gradient`, one activation-only backward stops at the
-    probed layer's output: mean cross-entropy is a sum of per-image terms
-    and no layer couples images, so the batch gradient times the batch size
-    is each image's own batch-size-1 gradient.  Without it the forward
-    stops as early as it can and `grad` is None.
+    ystar, the input patches (rows of the probed conv's im2col matrix) and
+    the contributions z (against the probed layer's own weights) all come
+    from `model`.  y0 is `y0` when given, else ystar.  `table` maps layers
+    to a sample of these images and the array their bias-free response
+    rows go to; the forward runs deep enough to write them all.  `start`
+    is a layer below the probed one and the images' input to it, from
+    which the forward resumes (`nn.forward_collect`); by default it runs
+    from the images.  With `gradient` the forward runs through the head, so
+    that `probe_gradient` can take the loss gradient from the probe's
+    `trace`; without it the forward stops as early as it can.  `grad` is
+    left None either way.
     """
     layer = model.spec.layers[layer_index]
     if layer.kind != nn.CONV2D:
@@ -200,15 +205,10 @@ def extract_probes(model: model_io.Checkpoint, dataset: model_io.DatasetHandle,
     ids, rows, cols = sample.image_ids, sample.rows, sample.cols
     n, n_loc = rows.shape
     upto = None if gradient else max([layer_index, *(table or ())])
-    trace = nn.forward_collect(model.spec, model.params, dataset.images[ids], upto=upto)
+    first, x = (0, dataset.images[ids]) if start is None else start
+    trace = nn.forward_collect(model.spec, model.params, x, upto=upto, start=first)
     for li, (s, out) in (table or {}).items():
         out[...] = _at(trace.outputs[li], s) - model.params[li].bias
-    grad = None
-    if gradient:
-        grads = nn.backward_collect(model.spec, model.params, trace,
-                                    dataset.labels[ids], stop=layer_index + 1,
-                                    wrt_weights=False)
-        grad = _at(grads.activations[layer_index], sample) * n
     ystar = _at(trace.outputs[layer_index], sample) - model.params[layer_index].bias
     # im2col rows run over (image, output row, output column).
     patches = trace.cols[layer_index][(np.arange(n)[:, None] * ho + rows) * wo
@@ -222,7 +222,25 @@ def extract_probes(model: model_io.Checkpoint, dataset: model_io.DatasetHandle,
                   w.transpose(1, 2, 0)[:, None])
     z = z.reshape(c_in, n * n_loc, c_out).transpose(1, 2, 0)
     return FeatureProbe(y0=ystar if y0 is None else y0, patches=patches, ystar=ystar,
-                        grad=grad, z=z)
+                        grad=None, z=z, trace=trace)
+
+
+def probe_gradient(model: model_io.Checkpoint, dataset: model_io.DatasetHandle,
+                   layer_index: int, sample: ProbeSample,
+                   trace: nn.ForwardTrace) -> np.ndarray:
+    """Each probe row's loss gradient at conv `layer_index`'s output,
+    [probe, out_channel] in sample order, from the forward `trace` of a
+    probe taken with `gradient`.
+
+    One activation-only backward stops at the probed layer's output: mean
+    cross-entropy is a sum of per-image terms and no layer couples images,
+    so the batch gradient times the batch size is each image's own
+    batch-size-1 gradient.
+    """
+    grads = nn.backward_collect(model.spec, model.params, trace,
+                                dataset.labels[sample.image_ids],
+                                stop=layer_index + 1, wrt_weights=False)
+    return _at(grads.activations[layer_index], sample) * len(sample)
 
 
 def build_weighted_system(probe: FeatureProbe, variant: str) -> solvers.WeightedSystem:
@@ -431,27 +449,32 @@ def prune_model(uncompressed: model_io.Checkpoint, dataset: model_io.DatasetHand
     chunks (see `sample_probes`), and the first stage probes `uncompressed`
     itself, so its chunk forwards write every stage's uncompressed
     responses y0, allocated up front; no stage runs a second model.  Each
-    stage rewrites into fresh parameters, so `uncompressed` is never
-    modified; with no conv to prune it is returned as it is.  Each stage
-    runs in its own function scope, so its probes, selection system and
-    refit are freed before the next stage extracts probes.  Any stage
-    failure raises with the traces so far attached to the exception.
+    later stage's forwards start at the previous stage's conv, from the
+    inputs that stage kept, since no layer below it changed.  Each stage
+    rewrites into fresh parameters, so `uncompressed` is never modified;
+    with no conv to prune it is returned as it is.  Each stage runs in its
+    own function scope, so its probes, selection system and refit are freed
+    before the next stage extracts probes.  Any stage failure, also one
+    raised on a stage's worker thread, raises here with the traces so far
+    attached to the exception.
     """
     _check_conv_chain(uncompressed.spec)
     budgets = resolve_budgets(uncompressed.spec, config)
     convs = uncompressed.spec.conv_indices()
+    ordinals = sorted(budgets)
     samples = {convs[o - 1]: sample_probes(uncompressed.spec, convs[o - 1], dataset,
-                                           config) for o in sorted(budgets)}
+                                           config) for o in ordinals}
     stages = {li: (s, np.empty((s.rows.size, len(uncompressed.params[li].bias))))
               for li, s in samples.items()}
     model = uncompressed
     traces: list[PruneTrace] = []
-    for k, ordinal in enumerate(sorted(budgets)):
+    start = None
+    for k, ordinal in enumerate(ordinals):
         li = convs[ordinal - 1]
         try:
-            model, trace = _prune_stage(model, dataset, config, ordinal,
-                                        budgets[ordinal], *stages[li],
-                                        fill=None if k else stages)
+            model, trace, start = _prune_stage(
+                model, dataset, config, ordinal, budgets[ordinal], *stages[li],
+                fill=None if k else stages, start=start, keep=k + 1 < len(ordinals))
         except Exception as exc:
             exc.prune_traces = traces
             raise
@@ -460,12 +483,64 @@ def prune_model(uncompressed: model_io.Checkpoint, dataset: model_io.DatasetHand
     return model, traces
 
 
+# A stage whose chunk forwards cost at least this many FLOPs each
+# (`nn.flops_count` from the forward's first layer to the head, times the
+# chunk's images) folds each chunk on a worker thread while the next chunk's
+# forward runs.  Timed per stage on a 2-vCPU x86 VM with one BLAS thread,
+# 2x cpli prunes of `harness.desk_net` at widths 6-8-8-10, 8-16-16-32 and
+# 16-32-32-64 on 4x4 to 40x40 inputs: below 2.5 MFLOP per chunk the worker
+# made 15 of 16 stages slower (up to 1.5x, as the hand-off and the GIL cost
+# more than the overlap saves), from 2.5 to 10 MFLOP it went either way
+# (0.67-1.57x), and above 10 MFLOP it made all 12 stages faster
+# (0.47-0.91x).  The desk grid's chunks are 0.3-1.2 MFLOP, a 2x prune of
+# the 28x28 net's 39-77.
+_WORKER_MIN_FLOPS = 10_000_000
+
+
+def _use_worker(chunk_flops: int) -> bool:
+    """Whether a stage whose chunk forwards cost `chunk_flops` folds its
+    chunks on a worker thread: only with 2 or more CPUs to run on (every
+    CPU counts where the OS has no `sched_getaffinity`, as on macOS)."""
+    cpus = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+            else os.cpu_count() or 1)
+    return chunk_flops >= _WORKER_MIN_FLOPS and cpus >= 2
+
+
+@contextmanager
+def _folds(worker: bool):
+    """A `submit(fn, *args)` for a stage's per-chunk folds, which run in
+    submission order: inline, or with `worker` on one thread beside the
+    caller's.  There `submit` first waits for the previous fold and raises
+    what it raised, so at most one chunk waits beside the one being probed;
+    leaving the block waits for the last fold."""
+    if not worker:
+        yield lambda fn, *args: fn(*args)
+        return
+    pending = None
+    with ThreadPoolExecutor(max_workers=1) as pool:
+        def submit(fn, *args):
+            nonlocal pending
+            if pending is not None:
+                pending.result()
+            # The pool holds a job's arguments until a moment after its
+            # future is done; taken from the box, they go when `fn` returns.
+            box = [args]
+            pending = pool.submit(lambda: fn(*box.pop()))
+
+        yield submit
+        if pending is not None:
+            pending.result()
+
+
 def _prune_stage(model: model_io.Checkpoint, dataset: model_io.DatasetHandle,
                  config: PruneConfig, ordinal: int, budget: int, sample: ProbeSample,
-                 y0: np.ndarray, fill: dict[int, tuple[ProbeSample, np.ndarray]] | None
-                 ) -> tuple[model_io.Checkpoint, PruneTrace]:
+                 y0: np.ndarray, fill: dict[int, tuple[ProbeSample, np.ndarray]] | None,
+                 start: tuple[int, list[np.ndarray]] | None, keep: bool
+                 ) -> tuple[model_io.Checkpoint, PruneTrace,
+                            tuple[int, list[np.ndarray]] | None]:
     """Probe, select, refit and rewrite one conv of `model`; returns the new
-    model and the stage's trace.
+    model, the stage's trace and, with `keep`, where the next stage's
+    forwards start.
 
     The sample's images are probed in chunks of `_PROBE_CHUNK`, with the
     loss gradient only for the `GRADIENT_VARIANTS`.  `y0` is the stage's
@@ -473,33 +548,64 @@ def _prune_stage(model: model_io.Checkpoint, dataset: model_io.DatasetHandle,
     At the first stage of a prune `model` is the uncompressed one, and
     `fill` maps every stage's layer to its sample and y0, so each chunk's
     forward writes their rows; a later stage's `y0` is already written.
-    Each chunk's patches are kept for the refit, and its selection rows are
-    folded into a `solvers.SystemStream`; everything else the chunk made
-    (forward trace, gradients, z, its rows of A) is freed before the next
-    chunk's forward, so the stage never holds the whole sample's z, ystar,
-    gradients or design matrix.  Earlier stages rewrote only convs before
-    this one, so its weights are still the uncompressed ones.
+    `start` is the previous stage's conv and, per chunk, its input in
+    `model`: that stage kept its conv's input and sliced it to the channels
+    it kept, and nothing below that conv changed since, so each chunk's
+    forward starts there; without it a forward runs from the images.  With
+    `keep` this stage keeps its own conv's input per chunk the same way.
+
+    Each chunk's forward and the reads that need only it (table rows,
+    ystar, patches, z) run on the calling thread; its fold (the gradient's
+    backward and gather, `build_weighted_system` and `SystemStream.add`)
+    runs after it, in chunk order: inline, or on one worker thread while
+    the next chunk's forward runs, when `_use_worker` says the forwards are
+    large enough and there is a second CPU.  Either way the stream sees the
+    same rows in the same order, so R has the same bits.  Each chunk's
+    patches are kept for the refit; everything else the chunk made (forward
+    trace, gradients, z, its rows of A) is freed once it is folded, so at
+    most one chunk besides the one being probed is alive and the stage
+    never holds the whole sample's z, ystar, gradients or design matrix.
+    Earlier stages rewrote only convs before this one, so its weights are
+    still the uncompressed ones.
     """
     li = model.spec.conv_indices()[ordinal - 1]
     layer = model.spec.layers[li]
     n_loc = sample.rows.shape[1]
+    gradient = config.variant in GRADIENT_VARIANTS
     targets = RefitTargets(y0=y0, patches=np.empty((len(y0), layer.in_channels,
                                                     *layer.kernel)))
     stream = None if config.variant == VARIANT_MAGNITUDE else solvers.SystemStream()
-    for start in range(0, len(sample), _PROBE_CHUNK):
-        stop = start + _PROBE_CHUNK
-        at = slice(start * n_loc, stop * n_loc)
-        table = None if fill is None else {
-            lj: (s.chunk(start, stop), rows[start * s.rows.shape[1]:
-                                            stop * s.rows.shape[1]])
-            for lj, (s, rows) in fill.items()}
-        probe = extract_probes(model, dataset, li, sample.chunk(start, stop),
-                               gradient=config.variant in GRADIENT_VARIANTS,
-                               y0=y0[at] if fill is None else None, table=table)
-        targets.patches[at] = probe.patches
-        if stream is not None:
-            stream.add(build_weighted_system(probe, config.variant))
-        del probe
+    first, inputs = start or (0, None)
+    kept: list[np.ndarray] = []
+
+    def fold(probe: FeatureProbe, chunk: ProbeSample) -> None:
+        if gradient:
+            probe.grad = probe_gradient(model, dataset, li, chunk, probe.trace)
+            probe.trace = None
+        stream.add(build_weighted_system(probe, config.variant))
+
+    chunk_flops = sum(nn.flops_count(model.spec).per_layer[first:]) * _PROBE_CHUNK
+    with _folds(stream is not None and _use_worker(chunk_flops)) as submit:
+        for begin in range(0, len(sample), _PROBE_CHUNK):
+            end = begin + _PROBE_CHUNK
+            at = slice(begin * n_loc, end * n_loc)
+            chunk = sample.chunk(begin, end)
+            table = None if fill is None else {
+                lj: (s.chunk(begin, end), rows[begin * s.rows.shape[1]:
+                                                end * s.rows.shape[1]])
+                for lj, (s, rows) in fill.items()}
+            resume = None if inputs is None else (first, inputs.pop(0))
+            probe = extract_probes(model, dataset, li, chunk, gradient=gradient,
+                                   y0=y0[at] if fill is None else None, table=table,
+                                   start=resume)
+            targets.patches[at] = probe.patches
+            if keep:
+                kept.append(probe.trace.outputs[li - 1])
+            if not gradient:
+                probe.trace = None
+            if stream is not None:
+                submit(fold, probe, chunk)
+            del probe
     cur = model.params[li]
     if stream is None:
         support = magnitude_select(cur.weights, budget)
@@ -512,8 +618,11 @@ def _prune_stage(model: model_io.Checkpoint, dataset: model_io.DatasetHandle,
         sel = select_channels(system, budget)
         support, lam, warn = sel.support, sel.lambda_final, sel.budget_warning
         converged = sel.converged
-    refit = refit_layer(targets, support, cur)
     sup = np.asarray(support, dtype=np.int64)
+    # The next stage's forwards see this conv's input cut to the kept channels.
+    for c, x in enumerate(kept):
+        kept[c] = x[:, sup]
+    refit = refit_layer(targets, support, cur)
     return _rewrite(model, ordinal, sup, refit.weights, refit.bias), PruneTrace(
         layer_index=li, conv_ordinal=ordinal, variant=config.variant,
         budget=budget, lambda_final=lam, support=tuple(support),
@@ -522,7 +631,7 @@ def _prune_stage(model: model_io.Checkpoint, dataset: model_io.DatasetHandle,
         exhaustive_locations=sample.exhaustive, budget_warning=warn,
         normal_residual=refit.normal_residual,
         weight_norm=refit.weight_norm, rhs_scale=refit.rhs_scale,
-        converged=converged)
+        converged=converged), (li, kept) if keep else None
 
 
 # ---------------------------------------------------------------------------

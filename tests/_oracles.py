@@ -294,17 +294,17 @@ def sample_probes_loop(spec, layer_index, dataset, config):
 
 
 def extract_probes_loop(model, dataset, layer_index, sample, gradient=True, y0=None,
-                        table=None):
-    """`pruner.extract_probes` with one batch-size-1 backward per probe image.
+                        table=None, start=None):
+    """`pruner.extract_probes` read one image at a time from a full forward.
 
-    The forward runs over the sample's images as one batch, as the
-    library's does; each image's gradient comes from its own full backward
-    pass (none without `gradient`, and `grad` is None), each receptive
-    field from an explicit slice, and each image's z from one matmul per
-    input channel, (locations, kh*kw) @ (kh*kw, c_out).  `y0` and `table`
-    mean what they mean to the library: given rows are returned as they
-    are, otherwise y0 is ystar, and each layer of a table gets its rows
-    from the forward, one image at a time.
+    The forward runs over the sample's images as one batch from the input
+    layer, whatever `start` says, and is kept as the probe's `trace`; each
+    receptive field comes from an explicit slice, and each image's z from
+    one matmul per input channel, (locations, kh*kw) @ (kh*kw, c_out).
+    `y0` and `table` mean what they mean to the library: given rows are
+    returned as they are, otherwise y0 is ystar, and each layer of a table
+    gets its rows from the forward, one image at a time.  `gradient` only
+    matters to the library, whose forward stops early without it.
     """
     layer = model.spec.layers[layer_index]
     kh, kw = layer.kernel
@@ -313,25 +313,15 @@ def extract_probes_loop(model, dataset, layer_index, sample, gradient=True, y0=N
     c_out, c_in = w.shape[:2]
     w_taps = w.reshape(c_out, c_in, kh * kw).transpose(1, 2, 0)
     bias = model.params[layer_index].bias
-    ystar, grad, z, patches = ([] for _ in range(4))
+    ystar, z, patches = [], [], []
     ids = sample.image_ids
     trace = nn.forward_collect(model.spec, model.params, dataset.images[ids])
     for li, (at, out) in (table or {}).items():
         out[...] = np.concatenate(
             [trace.outputs[li][k][:, at.rows[k], at.cols[k]].T
              - model.params[li].bias for k in range(len(ids))])
-    for k, image in enumerate(ids):
+    for k in range(len(ids)):
         rr, cc = sample.rows[k], sample.cols[k]
-        if gradient:
-            # im2col rows run over (image, output row, output column).
-            single = nn.ForwardTrace(
-                x=trace.x[k:k + 1], outputs=[o[k:k + 1] for o in trace.outputs],
-                logits=trace.logits[k:k + 1],
-                cols={i: c.reshape(len(ids), -1, c.shape[1])[k]
-                      for i, c in trace.cols.items()})
-            grads = nn.backward_collect(model.spec, model.params, single,
-                                        dataset.labels[image:image + 1])
-            grad.append(grads.activations[layer_index][0][:, rr, cc].T)
         x_in = trace.outputs[layer_index - 1][k] if layer_index else trace.x[k]
         x_in = np.pad(x_in, ((0, 0), (pad, pad), (pad, pad)))
         pat = np.array([x_in[:, r * stride:r * stride + kh, c * stride:c * stride + kw]
@@ -342,9 +332,26 @@ def extract_probes_loop(model, dataset, layer_index, sample, gradient=True, y0=N
         z.append(np.matmul(taps, w_taps).transpose(1, 2, 0))
     ystar = np.concatenate(ystar)
     return pruner.FeatureProbe(
-        y0=ystar if y0 is None else y0, ystar=ystar,
-        grad=np.concatenate(grad) if gradient else None, z=np.concatenate(z),
-        patches=np.concatenate(patches))
+        y0=ystar if y0 is None else y0, ystar=ystar, grad=None, z=np.concatenate(z),
+        patches=np.concatenate(patches), trace=trace)
+
+
+def probe_gradient_loop(model, dataset, layer_index, sample, trace):
+    """`pruner.probe_gradient` with one full batch-size-1 backward per probe
+    image through its slice of the full forward `trace`."""
+    n = len(sample)
+    grad = []
+    for k, image in enumerate(sample.image_ids):
+        # im2col rows run over (image, output row, output column).
+        single = nn.ForwardTrace(
+            x=trace.x[k:k + 1], outputs=[o[k:k + 1] for o in trace.outputs],
+            logits=trace.logits[k:k + 1],
+            cols={i: c.reshape(n, -1, c.shape[1])[k] for i, c in trace.cols.items()})
+        grads = nn.backward_collect(model.spec, model.params, single,
+                                    dataset.labels[image:image + 1])
+        grad.append(grads.activations[layer_index][0][:, sample.rows[k],
+                                                      sample.cols[k]].T)
+    return np.concatenate(grad)
 
 
 def dense_weighted_system(probe, variant):

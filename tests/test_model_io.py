@@ -1,4 +1,5 @@
 import json
+import math
 import zlib
 
 import numpy as np
@@ -398,6 +399,85 @@ class TestIdxLoader:
         (tmp_path / "lab").write_bytes(idx_labels_bytes([0, 1]))
         with pytest.raises(model_io.FormatError, match="expected 24 bytes, got 21"):
             model_io.load_idx(tmp_path / "img", tmp_path / "lab")
+
+
+@st.composite
+def idx_file(draw, dims):
+    """IDX bytes of unsigned bytes in `dims` (no dims, no payload), and half
+    the time a few flipped bytes, a cut or a short tail."""
+    size = math.prod(dims) if dims else 0
+    blob = bytearray(b"\x00\x00\x08" + bytes([len(dims)])
+                     + b"".join(d.to_bytes(4, "big") for d in dims)
+                     + draw(st.binary(min_size=size, max_size=size)))
+    if not draw(st.booleans()):
+        return bytes(blob)
+    for at, mask in draw(st.lists(st.tuples(st.integers(0, len(blob) - 1),
+                                            st.integers(1, 255)), max_size=2)):
+        blob[at] ^= mask
+    cut = draw(st.integers(0, len(blob)))
+    return bytes(blob[:cut]) + draw(st.binary(max_size=3))
+
+
+@st.composite
+def idx_pairs(draw):
+    """An image and a label file: half the time each has the dims a
+    dataset needs, (n, h, w) and (n,), else up to four small ones."""
+    n, h, w = (draw(st.integers(0, 4)) for _ in range(3))
+    any_dims = st.lists(st.integers(0, 4), max_size=4)
+    images = draw(st.one_of(st.just([n, h, w]), any_dims))
+    labels = draw(st.one_of(st.just([n]), any_dims))
+    return draw(idx_file(images)), draw(idx_file(labels))
+
+
+def decode_idx(blob):
+    """The unsigned-byte array an IDX file holds, or None if it holds none."""
+    if len(blob) < 4 or blob[:3] != b"\x00\x00\x08" or blob[3] == 0:
+        return None
+    ndim = blob[3]
+    if len(blob) < 4 + 4 * ndim:
+        return None
+    dims = [int.from_bytes(blob[4 + 4 * i:8 + 4 * i], "big") for i in range(ndim)]
+    if len(blob) != 4 + 4 * ndim + math.prod(dims):
+        return None
+    return np.frombuffer(blob[4 + 4 * ndim:], dtype=np.uint8).reshape(dims)
+
+
+class TestIdxFuzz:
+    """An IDX image/label pair either loads bit-exactly or fails with one
+    FormatError line."""
+
+    @pytest.fixture(scope="class")
+    def paths(self, tmp_path_factory):
+        at = tmp_path_factory.mktemp("idx")
+        return at / "img", at / "lab"
+
+    @given(st.data())
+    @settings(max_examples=300)
+    def test_damaged_files(self, paths, data):
+        images, labels = data.draw(idx_pairs())
+        paths[0].write_bytes(images)
+        paths[1].write_bytes(labels)
+        pixels, classes = decode_idx(images), decode_idx(labels)
+        try:
+            ds = model_io.load_idx(*paths)
+        except model_io.FormatError as exc:
+            assert "\n" not in str(exc)
+            assert (pixels is None or classes is None or pixels.ndim != 3
+                    or classes.ndim != 1 or len(pixels) != len(classes)), str(exc)
+            return
+        n, h, w = pixels.shape
+        want = pixels.reshape(n, 1, h, w).astype(np.float64) / 255.0
+        assert ds.images.shape == want.shape and ds.images.tobytes() == want.tobytes()
+        assert ds.labels.dtype == np.int64
+        assert ds.labels.tobytes() == classes.astype(np.int64).tobytes()
+        assert ds.num_classes == (int(classes.max()) + 1 if n else 0)
+
+    def test_zero_dimensions(self, paths):
+        paths[0].write_bytes(b"\x00\x00\x08\x00")
+        paths[1].write_bytes(idx_labels_bytes([]))
+        with pytest.raises(model_io.FormatError) as err:
+            model_io.load_idx(*paths)
+        assert str(err.value) == f"{paths[0]}: zero dimensions at byte 3"
 
 
 class TestCifarLoader:

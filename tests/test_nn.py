@@ -157,6 +157,49 @@ class TestForwardCollect:
             with pytest.raises(ValueError, match="upto must be in"):
                 nn.forward_collect(spec, params, x, upto=upto)
 
+    @pytest.mark.parametrize("seed", range(5))
+    def test_started_pass_matches_full_pass_bitwise(self, seed):
+        # Started at every layer from the full pass's input to it, the pass
+        # computes the same bits from there on, and its backward the same
+        # gradients down to its first layer.
+        rng = np.random.default_rng(seed)
+        spec, params, x, labels = random_small_net(rng)
+        full = nn.forward_collect(spec, params, x)
+        grads = nn.backward_collect(spec, params, full, labels)
+        for start in range(1, len(spec.layers)):
+            part = nn.forward_collect(spec, params, full.outputs[start - 1], start=start)
+            assert part.start == start and part.x is not None
+            assert part.outputs[:start] == [None] * start
+            for got, want in zip(part.outputs[start:], full.outputs[start:]):
+                assert got.tobytes() == want.tobytes()
+            assert part.logits.tobytes() == full.logits.tobytes()
+            assert set(part.cols) == {i for i in full.cols if i >= start}
+            back = nn.backward_collect(spec, params, part, labels, stop=start)
+            for i in range(start - 1, len(spec.layers) - 1):
+                assert back.activations[i].tobytes() == grads.activations[i].tobytes()
+
+    def test_start_input_dims_checked(self, rng):
+        spec = tiny_spec()
+        params = nn.init_params(spec, 0)
+        with pytest.raises(nn.ShapeError) as err:
+            nn.forward_collect(spec, params, rng.normal(size=(2, 3, 5, 5)), start=2)
+        assert str(err.value) == "layer 2 input dims: expected (3, 6, 6), got (3, 5, 5)"
+        for start in (-1, len(spec.layers)):
+            with pytest.raises(ValueError, match="start must be in"):
+                nn.forward_collect(spec, params, rng.normal(size=(2, 3, 6, 6)),
+                                   start=start)
+        with pytest.raises(ValueError, match=r"upto must be in \[2, 6\), got 1"):
+            nn.forward_collect(spec, params, rng.normal(size=(2, 3, 6, 6)), upto=1,
+                               start=2)
+
+    def test_backward_refuses_a_stop_below_the_started_layer(self, rng):
+        spec = tiny_spec()
+        params = nn.init_params(spec, 0)
+        trace = nn.forward_collect(spec, params, rng.normal(size=(1, 3, 6, 6)), start=2)
+        with pytest.raises(ValueError) as err:
+            nn.backward_collect(spec, params, trace, np.array([0]), stop=1)
+        assert str(err.value) == "stop must be in [2, 6), got 1"
+
     def test_backward_refuses_a_truncated_trace(self, rng):
         spec = tiny_spec()
         params = nn.init_params(spec, 0)

@@ -1,4 +1,8 @@
 import dataclasses
+import os
+import sys
+import threading
+import time
 import tracemalloc
 import weakref
 
@@ -8,7 +12,7 @@ import pytest
 from prunekit import harness, model_io, nn, pruner, solvers
 
 from _oracles import (apply_supports, dense_weighted_system, extract_probes_loop,
-                      sample_probes_loop, subset_residual)
+                      probe_gradient_loop, sample_probes_loop, subset_residual)
 
 
 SYNTH = dict(classes=10, dims=(1, 12, 12), noise=0.25, amplitude=0.8, jitter=1.2)
@@ -42,10 +46,20 @@ def quick_config(**kw):
     return pruner.PruneConfig(**base)
 
 
+def take_probe(model, dataset, li, sample, gradient=True,
+               extract=pruner.extract_probes, take_gradient=pruner.probe_gradient):
+    """A probe of `sample` at conv `li`, with its loss gradient filled in
+    when `gradient` is set."""
+    got = extract(model, dataset, li, sample, gradient)
+    if gradient:
+        got.grad = take_gradient(model, dataset, li, sample, got.trace)
+    return got
+
+
 def probe_all(model, li, dataset, cfg):
     """The whole probe sample of conv `li` as one batch."""
     sample = pruner.sample_probes(model.spec, li, dataset, cfg)
-    return pruner.extract_probes(model, dataset, li, sample)
+    return take_probe(model, dataset, li, sample)
 
 
 class TestPruneConfig:
@@ -202,8 +216,9 @@ def assert_matches_loop(model, li, dataset, cfg, start=0, stop=None, gradient=Tr
         assert getattr(sample, name).tobytes() == getattr(want, name).tobytes(), name
     assert sample.exhaustive == want.exhaustive
     chunk = sample.chunk(start, len(sample) if stop is None else stop)
-    got = pruner.extract_probes(model, dataset, li, chunk, gradient)
-    assert_probes_match(got, extract_probes_loop(model, dataset, li, chunk, gradient))
+    got = take_probe(model, dataset, li, chunk, gradient)
+    assert_probes_match(got, take_probe(model, dataset, li, chunk, gradient,
+                                        extract_probes_loop, probe_gradient_loop))
     return got
 
 
@@ -457,8 +472,8 @@ def stream_system(model, li, dataset, cfg):
     stream = solvers.SystemStream()
     for start in range(0, len(sample), pruner._PROBE_CHUNK):
         chunk = sample.chunk(start, start + pruner._PROBE_CHUNK)
-        probe = pruner.extract_probes(model, dataset, li, chunk)
-        stream.add(pruner.build_weighted_system(probe, cfg.variant))
+        stream.add(pruner.build_weighted_system(take_probe(model, dataset, li, chunk),
+                                                cfg.variant))
     return stream.system()
 
 
@@ -603,6 +618,7 @@ class TestPruneModel:
         cfg = quick_config(flops_target=2.0)
         fast, fast_traces = pruner.prune_model(trained, synth_data, cfg)
         monkeypatch.setattr(pruner, "extract_probes", extract_probes_loop)
+        monkeypatch.setattr(pruner, "probe_gradient", probe_gradient_loop)
         slow, slow_traces = pruner.prune_model(trained, synth_data, cfg)
         assert [t.support for t in fast_traces] == [t.support for t in slow_traces]
         for p, q in zip(fast.params, slow.params):
@@ -666,16 +682,17 @@ class TestPruneModel:
         # Only the variants that read the gradient run a backward, and it
         # computes no weight gradient; the others' forward stops as early as
         # it can.  Both stages probe the same images in the same chunks.
-        # Conv 2's stage probes the input itself, so its forwards reach
-        # conv 3 and write conv 3's y0 rows as well; conv 3's stage probes
-        # the model conv 2's stage wrote.
+        # Conv 2's stage probes the input itself, so its forwards start at
+        # the input layer, reach conv 3 and write conv 3's y0 rows as well;
+        # conv 3's stage probes the model conv 2's stage wrote, and its
+        # forwards start at conv 2, the last layer that stage changed.
         real_forward, real_backward = nn.forward_collect, nn.backward_collect
         rewritten = record_rewrites(monkeypatch)
         calls = []
 
-        def forward(spec, params, x, upto=None):
-            calls.append(("forward", params, upto))
-            return real_forward(spec, params, x, upto=upto)
+        def forward(spec, params, x, upto=None, start=0):
+            calls.append(("forward", params, start, upto))
+            return real_forward(spec, params, x, upto=upto, start=start)
 
         def backward(spec, params, *args, **kwargs):
             calls.append(("backward", params, kwargs.get("stop"),
@@ -690,8 +707,8 @@ class TestPruneModel:
         assert reads_grad == (variant in pruner.GRADIENT_VARIANTS)
         c2, c3 = trained.spec.conv_indices()[1:3]
         want = []
-        for stage, li in enumerate((c2, c3)):
-            chunk = [("forward", stage, None if reads_grad else c3)]
+        for stage, (first, li) in enumerate(((0, c2), (c2, c3))):
+            chunk = [("forward", stage, first, None if reads_grad else c3)]
             if reads_grad:
                 chunk.append(("backward", stage, li + 1, False))
             want += chunk * 3
@@ -841,12 +858,176 @@ class TestSharedSample:
             assert got.y0.tobytes() == want.tobytes()
 
 
+@pytest.fixture(scope="module")
+def net28():
+    """The default net on 28x28 inputs, untrained, and its data."""
+    data = model_io.synth_dataset(5, 200, 10, dims=(1, 28, 28), split="train")
+    return model_io.Checkpoint(harness.desk_net(), nn.init_params(harness.desk_net(), 1),
+                               {}), data
+
+
+def use_worker(monkeypatch, worker):
+    """Make every stage fold its chunks on a worker thread, or inline."""
+    monkeypatch.setattr(pruner, "_use_worker", lambda chunk_flops: worker)
+
+
+def prune_bytes(tmp_path, ckpt, data, cfg):
+    """The bytes of a prune's checkpoint and trace files."""
+    pruned, traces = pruner.prune_model(ckpt, data, cfg)
+    model_io.save_checkpoint(tmp_path / "m.ckpt", pruned)
+    pruner.write_traces(tmp_path / "m.trace", traces)
+    return (tmp_path / "m.ckpt").read_bytes(), (tmp_path / "m.trace").read_bytes()
+
+
+class TestPipeline:
+    """A stage that folds its chunks on a worker thread writes what the
+    inline stage writes, passes the worker's failures on and holds at most
+    one chunk besides the one being probed."""
+
+    def test_worker_needs_two_cpus_and_large_forwards(self, monkeypatch):
+        big = pruner._WORKER_MIN_FLOPS
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+        assert pruner._use_worker(big) and not pruner._use_worker(big - 1)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+        assert not pruner._use_worker(100 * big)
+        monkeypatch.delattr(os, "sched_getaffinity")
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        assert pruner._use_worker(big)
+
+    def test_desk_stages_fold_inline_and_28x28_stages_on_the_worker(
+            self, trained, synth_data, net28, monkeypatch):
+        # Each stage asks once, with its chunk forwards' FLOPs from the
+        # layer they start at: the desk net's are 0.3-1.2 MFLOP, the
+        # 28x28 net's 39-77.
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+        real, asked = pruner._use_worker, []
+        monkeypatch.setattr(pruner, "_use_worker",
+                            lambda flops: asked.append(real(flops)) or asked[-1])
+        pruner.prune_model(trained, synth_data, quick_config(flops_target=2.0))
+        ckpt, data = net28
+        pruner.prune_model(ckpt, data, pruner.PruneConfig(flops_target=2.0,
+                                                          probe_images=40))
+        assert asked == [False] * 3 + [True] * 3
+
+    @pytest.mark.parametrize("shapes", ["desk", "28x28"])
+    @pytest.mark.parametrize("variant", pruner.VARIANTS)
+    def test_bytes_equal_to_the_inline_path(self, trained, synth_data, net28, tmp_path,
+                                            monkeypatch, shapes, variant):
+        if shapes == "desk":
+            ckpt, data = trained, synth_data
+            cfg = quick_config(flops_target=2.0, variant=variant)
+        else:
+            ckpt, data = net28
+            cfg = pruner.PruneConfig(flops_target=2.0, probe_images=40, variant=variant)
+        use_worker(monkeypatch, False)
+        inline = prune_bytes(tmp_path, ckpt, data, cfg)
+        use_worker(monkeypatch, True)
+        # Threads switch about every 10 us, not 5 ms, to shake out races.
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            assert prune_bytes(tmp_path, ckpt, data, cfg) == inline
+        finally:
+            sys.setswitchinterval(interval)
+
+    def test_worker_failure_reaches_the_caller_with_traces(self, trained, synth_data,
+                                                          monkeypatch):
+        # 48 probe images are three chunks per stage; the fifth fold is conv
+        # 3's second chunk.
+        use_worker(monkeypatch, True)
+        real_add = solvers.SystemStream.add
+        threads = []
+
+        def add(stream, system):
+            threads.append(threading.current_thread())
+            if len(threads) == 5:
+                raise RuntimeError("fold failed")
+            return real_add(stream, system)
+
+        monkeypatch.setattr(solvers.SystemStream, "add", add)
+        with pytest.raises(RuntimeError, match="fold failed") as err:
+            pruner.prune_model(trained, synth_data, quick_config(flops_target=2.0))
+        assert [t.conv_ordinal for t in err.value.prune_traces] == [2]
+        assert len(threads) == 5 and threading.main_thread() not in threads
+
+    def test_at_most_one_chunk_waits_beside_the_probed_one(self, trained, synth_data,
+                                                           monkeypatch):
+        # Folds are slowed down, so a main thread that did not wait for the
+        # previous fold before handing on the next would run ahead of the
+        # worker and find ever more chunks alive.  150 probe images are ten
+        # chunks per conv.
+        use_worker(monkeypatch, True)
+        real_probes, real_system = pruner.extract_probes, pruner.build_weighted_system
+        refs, alive = [], []
+
+        def probes(*args, **kwargs):
+            alive.append(sum(ref() is not None for ref in refs))
+            probe = real_probes(*args, **kwargs)
+            refs.append(weakref.ref(probe.z))
+            return probe
+
+        def system(*args, **kwargs):
+            time.sleep(0.01)
+            return real_system(*args, **kwargs)
+
+        monkeypatch.setattr(pruner, "extract_probes", probes)
+        monkeypatch.setattr(pruner, "build_weighted_system", system)
+        pruner.prune_model(trained, synth_data,
+                           quick_config(flops_target=2.0, probe_images=150))
+        assert len(alive) == 30 and max(alive) == 1
+
+
+class TestPrefixReuse:
+    """Each later stage's forwards start at the previous stage's conv, from
+    the inputs that stage kept, and compute what a full forward would."""
+
+    @pytest.mark.parametrize("shapes", ["desk", "28x28"])
+    @pytest.mark.parametrize("budgets", ["flops_target", "convs_2_4"])
+    def test_started_forward_equals_a_full_forward(self, trained, synth_data, net28,
+                                                   monkeypatch, shapes, budgets):
+        if shapes == "desk":
+            ckpt, data = trained, synth_data
+            settings = dict(probe_images=48, num_locations=6)
+            skip = {2: 3, 4: 5}
+        else:
+            ckpt, data = net28
+            settings = dict(probe_images=40)
+            skip = {2: 8, 4: 16}
+        if budgets == "flops_target":
+            cfg = pruner.PruneConfig(flops_target=2.0, **settings)
+        else:  # conv 4's stage starts at conv 2, past the unpruned conv 3
+            cfg = pruner.PruneConfig(budgets=skip, **settings)
+        real = pruner.extract_probes
+        starts = []
+
+        def probes(model, dataset, li, sample, *args, **kwargs):
+            probe = real(model, dataset, li, sample, *args, **kwargs)
+            got = probe.trace
+            want = nn.forward_collect(model.spec, model.params,
+                                      dataset.images[sample.image_ids])
+            starts.append((li, got.start))
+            for i in range(got.start, len(want.outputs)):
+                assert got.outputs[i].tobytes() == want.outputs[i].tobytes(), i
+            assert got.logits.tobytes() == want.logits.tobytes()
+            return probe
+
+        monkeypatch.setattr(pruner, "extract_probes", probes)
+        _, traces = pruner.prune_model(ckpt, data, cfg)
+        layers = [t.layer_index for t in traces]
+        assert len(layers) == (3 if budgets == "flops_target" else 2)
+        chunks = -(-cfg.probe_images // pruner._PROBE_CHUNK)
+        assert starts == [(li, first) for li, first in zip(layers, [0, *layers])
+                          for _ in range(chunks)]
+
+
 class TestPruneMemory:
     def test_peak_grows_only_by_the_refit_targets(self):
         # A 2x prune of the default 16-32-32-64 net on 28x28 inputs.  The
         # selection system is streamed, so more probe images add only the
-        # y0 and patches rows the refit keeps: at the largest conv (64
-        # outputs, 32 inputs of 3x3) 8 * (64 + 32 * 9) bytes per row.
+        # y0 and patches rows the refit keeps, at the largest conv (64
+        # outputs, 32 inputs of 3x3) 8 * (64 + 32 * 9) bytes per row, and
+        # the conv inputs a stage keeps for the next stage's forwards to
+        # start from, at most conv 2's 16 channels of 14x14 per image.
         data = model_io.synth_dataset(0, 300, 10, dims=(1, 28, 28), split="train")
         cfg = harness.TrainConfig(epochs=1, batch_size=32, lr=0.01, decay_points=())
         ckpt = harness.train(harness.desk_net(), data, cfg)
@@ -862,7 +1043,8 @@ class TestPruneMemory:
 
         small, large = peak(64), peak(256)
         targets = (256 - 64) * 10 * 8 * (64 + 32 * 9)
-        assert large - small <= targets + 0.1 * small
+        starts = (256 - 64) * 8 * 16 * 14 * 14
+        assert large - small <= targets + starts + 0.1 * small
 
 
 class TestResolveBudgets:
